@@ -17,7 +17,6 @@ from .qcore import (
     q_factorial,
     q_int,
     q_pochhammer,
-    q_power,
 )
 from .series import (
     PolyZ,
@@ -42,7 +41,6 @@ from .qfun import (
 )
 from .detrep import (
     BernoulliMatrix,
-    ExactMatrix,
     bernoulli_number,
     bernoulli_poly_det,
     bernoulli_poly_value,

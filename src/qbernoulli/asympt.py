@@ -24,8 +24,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import DomainError, QBernError, QContext, q_factorial
-from .detrep import bernoulli_poly_value
+from .qcore import DomainError, QBernError, QContext, context_cache, q_factorial
+from .detrep import bernoulli_poly_det
 from .qfun import (
     QTrigKind,
     modified_bessel_certified,
@@ -139,9 +139,6 @@ def bisect_zero(evaluate, lo, hi, precision):
         return lo, hi, (lo + hi) / 2
 
 
-_zero_cache: dict = {}
-
-
 def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> ZeroResult:
     """First positive zero of the modified q-Bessel function, base q**2.
 
@@ -154,8 +151,8 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
     precision = ctx.float_precision_bits if precision is None else precision
-    key = (ctx.q, ctx.alpha, kind, precision)
-    cached = _zero_cache.get(key)
+    zeros = context_cache(ctx).zeros
+    cached = zeros.get((kind, precision))
     if cached is not None:
         return cached
 
@@ -177,7 +174,7 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
             certified_interval=(lo, hi),
             residual=abs(value) + bound,
         )
-    _zero_cache[key] = result
+    zeros[(kind, precision)] = result
     return result
 
 
@@ -231,13 +228,25 @@ def bessel_derivative_at(ctx: QContext, kind: int, x) -> mpf:
 _TRIG_PAIR = {2: (QTrigKind.Cos_q, QTrigKind.Sin_q), 3: (QTrigKind.C_q, QTrigKind.S_q)}
 
 
-def _frame(ctx: QContext, kind: int, precision: int):
-    """Shared per-(q, alpha, kind) data for leading terms: the scaled
-    singularity constant (with its location uncertainty), the Bessel
-    derivative there, the trig pair at the constant (with series bounds),
-    and the family prefactor."""
-    key = (ctx.q, ctx.alpha, kind, precision, "frame")
-    cached = _zero_cache.get(key)
+@dataclass(frozen=True)
+class _Frame:
+    """Per-(q, alpha, kind) leading-term data: the scaled singularity
+    constant and its location uncertainty, the family prefactor, the Bessel
+    derivative there, and the trig pair at the constant with series bounds."""
+
+    constant: mpf
+    constant_width: mpf
+    prefactor: mpf
+    derivative: mpf
+    cos_at_c: mpf
+    cos_bound: mpf
+    sin_at_c: mpf
+    sin_bound: mpf
+
+
+def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
+    frames = context_cache(ctx).frames
+    cached = frames.get((kind, precision))
     if cached is not None:
         return cached
     zero = smallest_zero(ctx, kind, precision)
@@ -258,17 +267,9 @@ def _frame(ctx: QContext, kind: int, precision: int):
         )
         cos_at_c, cos_bound = qtrig_certified(ctx, cos_kind, constant, precision=precision)
         sin_at_c, sin_bound = qtrig_certified(ctx, sin_kind, constant, precision=precision)
-        frame = (
-            constant,
-            constant_width,
-            prefactor,
-            derivative,
-            cos_at_c,
-            cos_bound,
-            sin_at_c,
-            sin_bound,
-        )
-    _zero_cache[key] = frame
+    frame = frames[(kind, precision)] = _Frame(
+        constant, constant_width, prefactor, derivative, cos_at_c, cos_bound, sin_at_c, sin_bound
+    )
     return frame
 
 
@@ -285,42 +286,40 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
         raise ValueError("n must be >= 1")
     ctx.require_numeric()
     precision = ctx.float_precision_bits
-    constant, constant_width, prefactor, derivative, cos_at_c, cos_bound, sin_at_c, sin_bound = (
-        _frame(ctx, kind, precision)
-    )
+    frame = _frame(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
     with mp.workprec(precision + 40):
         z = to_mpf(z)
-        cos_at_2cz, cos2_bound = qtrig_certified(ctx, cos_kind, 2 * constant * z, precision=precision)
-        sin_at_2cz, sin2_bound = qtrig_certified(ctx, sin_kind, 2 * constant * z, precision=precision)
+        cos_at_2cz, cos2_bound = qtrig_certified(ctx, cos_kind, 2 * frame.constant * z, precision=precision)
+        sin_at_2cz, sin2_bound = qtrig_certified(ctx, sin_kind, 2 * frame.constant * z, precision=precision)
         if n % 2 == 0:
             parity = "even"
-            combination = cos_at_2cz * cos_at_c + sin_at_2cz * sin_at_c
+            combination = cos_at_2cz * frame.cos_at_c + sin_at_2cz * frame.sin_at_c
             sign = mpf(-1) ** (n // 2 + 1)
         else:
             parity = "odd"
-            combination = sin_at_2cz * cos_at_c - cos_at_2cz * sin_at_c
+            combination = sin_at_2cz * frame.cos_at_c - cos_at_2cz * frame.sin_at_c
             sign = mpf(-1) ** ((n - 1) // 2 + 1)
         # indeterminacy certificate for the combination: series bounds plus
         # the zero-location uncertainty times a crude Lipschitz allowance
-        magnitudes = abs(cos_at_c) + abs(sin_at_c) + abs(cos_at_2cz) + abs(sin_at_2cz)
+        magnitudes = abs(frame.cos_at_c) + abs(frame.sin_at_c) + abs(cos_at_2cz) + abs(sin_at_2cz)
         noise = (
-            cos_bound * abs(cos_at_2cz)
-            + cos2_bound * abs(cos_at_c)
-            + sin_bound * abs(sin_at_2cz)
-            + sin2_bound * abs(sin_at_c)
-            + constant_width * 4 * (1 + abs(z)) * (1 + magnitudes)
+            frame.cos_bound * abs(cos_at_2cz)
+            + cos2_bound * abs(frame.cos_at_c)
+            + frame.sin_bound * abs(sin_at_2cz)
+            + sin2_bound * abs(frame.sin_at_c)
+            + frame.constant_width * 4 * (1 + abs(z)) * (1 + magnitudes)
         )
         factorial = to_mpf(q_factorial(ctx, n))
-        power = (2 * constant) ** (n + 1)
-        value = prefactor * sign * factorial * combination / (power * derivative)
+        power = (2 * frame.constant) ** (n + 1)
+        value = frame.prefactor * sign * factorial * combination / (power * frame.derivative)
         components = {
-            "prefactor": prefactor,
+            "prefactor": frame.prefactor,
             "sign": sign,
             "factorial": factorial,
             "trig_combination": combination,
             "power": power,
-            "bessel_derivative": derivative,
+            "bessel_derivative": frame.derivative,
             "trig_combination_noise": noise,
         }
         return AsymptoticTerm(value=value, parity=parity, n=n, components=components)
@@ -350,7 +349,7 @@ def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:
     precision = ctx.float_precision_bits
     rows = []
     for n in n_list:
-        exact = bernoulli_poly_value(ctx, kind, n, z)
+        exact = bernoulli_poly_det(ctx, kind, n)(z)
         term = leading_term(ctx, kind, n, z)
         with mp.workprec(precision + 40):
             float_value = to_mpf(exact)

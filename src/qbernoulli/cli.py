@@ -48,8 +48,8 @@ def _context(q_quarter, q_value, alpha, precision) -> QContext:
         raise click.UsageError(str(exc))
     if ctx.fourth_root_q is None:
         click.echo(
-            "warning: q^(1/4) of q=%s is irrational; operations needing it are float-only"
-            % ctx.q,
+            "warning: q^(1/4) of q=%s is irrational; exact operations needing it"
+            " fail with exit code 3" % ctx.q,
             err=True,
         )
     return ctx
@@ -263,10 +263,9 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
 def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_point):
     """Expansion coefficients L_0..L_N of a coefficient stream."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    with open(input_path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        stream = expand_mod.CoefficientStream.from_json(text)
+        with open(input_path, "r", encoding="utf-8") as handle:
+            stream = expand_mod.CoefficientStream.from_json(handle.read())
         ls = expand_mod.l_coefficients(ctx, stream, n_terms)
         payload = {"l_coefficients": [str(v) for v in ls]}
         if stream.tail_kind == "geometric":
@@ -289,7 +288,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
     except QBernError as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(EXIT_DOMAIN)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise click.UsageError("bad stream file: %s" % exc)
     params = _echo_params(ctx, terms=n_terms, input=str(input_path))
     _emit_json(_record("expand", params, payload, "json"))

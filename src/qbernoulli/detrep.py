@@ -1,11 +1,16 @@
 """Determinant representations of the three polynomial families.
 
 Each degree-n member is (-1)^n times the determinant of an (n+1)x(n+1)
-matrix whose first row holds weighted powers of z and whose remaining
-rows hold q-binomially weighted moment coefficients mu.  The polynomial
-is assembled by Laplace expansion along the symbolic first row, so only
-scalar minors are ever eliminated; minors use fraction-free Bareiss
-elimination after clearing denominators row by row.
+matrix whose first row holds weighted powers w_j z^j and whose remaining
+rows hold q-binomially weighted moment coefficients mu.  That matrix is
+upper Hessenberg; expanding along its last column gives the recurrence
+
+    B_n(z) = w_n z^n - sum_{k=1..n} [n choose k]_q mu_k B_(n-k)(z)
+
+(Costabile & Longo 2010), the production route: one cached table B_0..B_N
+per context and kind, extended on demand.  The determinant itself, by
+fraction-free Bareiss elimination, is kept as the reference the tests
+compare against (:func:`bernoulli_poly_value`).
 
 The moment ratio (q^(2a+1); q^2)_m / (q^(2a+1); q)_m shares its m=0
 factor (1 - q^(2a+1)) between numerator and denominator, and is stored
@@ -18,41 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from .qcore import QContext, q_binomial, q_factorial, require_exact_alpha
+from .qcore import QContext, cache_lock, context_cache, q_binomial, q_factorial, require_exact_alpha
 from .series import PolyZ, expq_reciprocal_series
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Square dense matrix of exact rationals."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def det(self) -> Fraction:
-        return _bareiss_det([list(r) for r in self.rows])
 
 
 def _bareiss_det(rows) -> Fraction:
     """Fraction-free determinant: clear denominators per row, run the
-    Bareiss recurrence over integers (all divisions exact), undo scaling.
-    An empty matrix has determinant 1 (the Laplace base case)."""
+    Bareiss recurrence over integers (all divisions exact), undo scaling."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and non-empty")
     denom = 1
     m = []
     for row in rows:
@@ -78,7 +60,35 @@ def _bareiss_det(rows) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], denom)
 
 
-@lru_cache(maxsize=None)
+def _moments(ctx: QContext, kind: int, m: int) -> list:
+    """The cached moments mu_0..mu_m (at least) of this context and kind."""
+    if kind not in (1, 2, 3):
+        raise ValueError("kind must be 1, 2 or 3")
+    moments = context_cache(ctx).moments.setdefault(kind, [Fraction(1)])
+    with cache_lock:
+        if len(moments) > m:
+            return moments
+        require_exact_alpha(ctx)
+        a = ctx.alpha
+        if kind in (1, 2):
+            for j in range(len(moments), m + 1):
+                ratio = Fraction(1, 2)
+                if j > 1:
+                    ratio *= (1 - ctx.q_pow(2 * a + 2 * j - 1)) / (1 - ctx.q_pow(2 * a + j))
+                moments.append(moments[-1] * ratio)
+            return moments
+        c = expq_reciprocal_series(ctx, m).coeffs
+        # weights[k] = q^(k(k+1/2)) (1-q)^(2k) / ((q^2;q^2)_k (q^(2a+2);q^2)_k)
+        weights = [Fraction(1)]
+        for k in range(1, m // 2 + 1):
+            pair = (1 - ctx.q ** (2 * k)) * (1 - ctx.q_pow(2 * a + 2 * k))
+            weights.append(weights[-1] * ctx.q_pow_quarters(8 * k - 2) * (1 - ctx.q) ** 2 / pair)
+        for j in range(len(moments), m + 1):
+            total = sum(weights[k] * c[j - 2 * k] for k in range(j // 2 + 1))
+            moments.append(Fraction(-1) ** j * q_factorial(ctx, j) / 2**j * total)
+        return moments
+
+
 def mu(ctx: QContext, kind: int, m: int) -> Fraction:
     """Moment coefficients of the reciprocal generating scalar.
 
@@ -94,26 +104,7 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
     require_exact_alpha(ctx)
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return Fraction(1)
-    a = ctx.alpha
-    if kind in (1, 2):
-        num = Fraction(1)
-        den = Fraction(1)
-        for j in range(1, m):
-            num *= 1 - ctx.q_pow(2 * a + 1 + 2 * j)
-            den *= 1 - ctx.q_pow(2 * a + 1 + j)
-        return Fraction(1, 2**m) * num / den
-    if kind != 3:
-        raise ValueError("kind must be 1, 2 or 3")
-    c = expq_reciprocal_series(ctx, m).coeffs
-    total = Fraction(0)
-    pair = Fraction(1)
-    for k in range(m // 2 + 1):
-        if k > 0:
-            pair *= (1 - ctx.q ** (2 * k)) * (1 - ctx.q_pow(2 * a + 2 * k))
-        total += ctx.q_pow_quarters(4 * k * k + 2 * k) * (1 - ctx.q) ** (2 * k) * c[m - 2 * k] / pair
-    return Fraction(-1) ** m * q_factorial(ctx, m) / 2**m * total
+    return _moments(ctx, kind, m)[m]
 
 
 def row_weight(ctx: QContext, kind: int, j: int) -> Fraction:
@@ -165,46 +156,36 @@ def build_matrix(ctx: QContext, kind: int, n: int) -> BernoulliMatrix:
     return BernoulliMatrix(kind=kind, weights=weights, scalar_rows=tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
-    """Degree-n family member via the determinant representation.
-
-    The z**j coefficient is (-1)^(n+j) w_j times the minor obtained by
-    deleting the symbolic row and column j.
-    """
-    if n == 0:
-        return PolyZ([1])
-    matrix = build_matrix(ctx, kind, n)
-    coeffs = []
-    for j in range(n + 1):
-        minor = [list(row[:j]) + list(row[j + 1 :]) for row in matrix.scalar_rows]
-        coeffs.append(Fraction(-1) ** (n + j) * matrix.weights[j] * _bareiss_det(minor))
-    return PolyZ(coeffs)
+    """Degree-n family member: the determinant representation, evaluated
+    through its last-column expansion from the cached table B_0..B_(n-1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    moments = _moments(ctx, kind, n)
+    polys = context_cache(ctx).polys.setdefault(kind, [PolyZ([1])])
+    with cache_lock:
+        for m in range(len(polys), n + 1):
+            coeffs = [Fraction(0)] * m + [row_weight(ctx, kind, m)]
+            for k in range(1, m + 1):
+                weight = q_binomial(ctx, m, k) * moments[k]
+                for j, c in enumerate(polys[m - k].coeffs):
+                    coeffs[j] -= weight * c
+            polys.append(PolyZ(coeffs))
+    return polys[n]
 
 
 def bernoulli_number(ctx: QContext, kind: int, n: int) -> Fraction:
-    """Value at z = 0: (-1)^n det of the n x n scalar moment matrix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    require_exact_alpha(ctx)
-    rows = [
-        [
-            q_binomial(ctx, j, i - 1) * mu(ctx, kind, j - i + 1) if j - i + 1 >= 0 else Fraction(0)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return Fraction(-1) ** n * _bareiss_det(rows)
+    """Value at z = 0: the constant term of bernoulli_poly_det."""
+    return bernoulli_poly_det(ctx, kind, n).coefficient(0)
 
 
 def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
-    """Exact value at rational z via a single scalar determinant.
+    """Exact value at rational z: (-1)^n times the paper's full
+    (n+1)x(n+1) determinant with z substituted into the symbolic row.
 
-    Substitutes z into the symbolic row first, so large-n diagnostics
-    avoid the n+1 minors of the full polynomial expansion.  Agrees with
-    bernoulli_poly_det(...)(z) and, at z = 0, with bernoulli_number.
+    This is the reference the recurrence table of bernoulli_poly_det is
+    tested against; it agrees with bernoulli_poly_det(...)(z) and, at
+    z = 0, with bernoulli_number.
     """
     if n == 0:
         return Fraction(1)

@@ -66,14 +66,21 @@ class CoefficientStream:
 
     @classmethod
     def from_json(cls, text: str) -> "CoefficientStream":
+        """Parse {"coefficients": [rational strings], "tail": ...}; a schema
+        violation raises ValueError naming the field at fault."""
         data = json.loads(text)
-        coeffs = [Fraction(s) for s in data["coefficients"]]
+        if not isinstance(data, dict):
+            raise ValueError("a stream must be a JSON object, got %s" % type(data).__name__)
+        coeffs = data.get("coefficients")
+        if not isinstance(coeffs, list):
+            raise ValueError("field 'coefficients' must be a list, got %r" % (coeffs,))
+        coeffs = [_rational(c, "coefficients[%d]" % i) for i, c in enumerate(coeffs)]
         tail = data.get("tail", "finite")
         if tail == "finite":
             return cls(tuple(coeffs), "finite", None)
         if isinstance(tail, dict) and "geometric" in tail:
-            return cls(tuple(coeffs), "geometric", Fraction(tail["geometric"]))
-        raise ValueError("tail must be 'finite' or {'geometric': 'ratio'}")
+            return cls(tuple(coeffs), "geometric", _rational(tail["geometric"], "tail.geometric"))
+        raise ValueError("field 'tail' must be 'finite' or {'geometric': 'ratio'}")
 
     def to_json(self) -> str:
         tail = "finite" if self.tail_kind == "finite" else {"geometric": str(self.tail_ratio)}
@@ -85,6 +92,16 @@ class CoefficientStream:
         if self.tail_kind != "finite":
             raise ValueError("only finite streams are polynomials")
         return PolyZ(self.coefficients)
+
+
+def _rational(value, field: str) -> Fraction:
+    """A JSON string or integer holding an exact rational, else ValueError."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("field '%s' must be a rational like 'p/r', got %r" % (field, value))
 
 
 def psi(ctx: QContext, n: int) -> Fraction:

@@ -14,15 +14,16 @@ represent raise :class:`ExactModeError`; nothing is ever silently
 approximated on the exact paths.
 
 Contexts are immutable and every function here is pure, so values can be
-shared freely across threads.
+shared freely across threads.  Results worth keeping live in one cache
+keyed on the context, bounded to the CACHED_CONTEXTS most recently used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 ExactScalar = Fraction
 
@@ -164,6 +165,35 @@ class QContext:
         return self.q_pow_quarters(int(e * 4))
 
 
+CACHED_CONTEXTS = 64
+
+# guards _contexts and every append to a cached list, so that two threads
+# never append the same index twice
+cache_lock = threading.RLock()
+_contexts: dict = {}  # least recently used first
+
+
+@dataclass
+class ContextCache:
+    """Everything memoised for one context; the lists are append-only."""
+
+    factorials: list = field(default_factory=lambda: [Fraction(1)])
+    moments: dict = field(default_factory=dict)  # kind -> [mu_0, mu_1, ...]
+    polys: dict = field(default_factory=dict)  # kind -> [B_0, B_1, ...]
+    zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult
+    frames: dict = field(default_factory=dict)  # (kind, precision) -> asympt._Frame
+
+
+def context_cache(ctx: QContext) -> ContextCache:
+    """The cache entry of ctx, created cold if absent."""
+    with cache_lock:
+        entry = _contexts.pop(ctx, None) or ContextCache()
+        _contexts[ctx] = entry
+        if len(_contexts) > CACHED_CONTEXTS:
+            del _contexts[next(iter(_contexts))]
+        return entry
+
+
 def require_exact_alpha(ctx: QContext):
     if not ctx.exact_alpha:
         raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % ctx.alpha)
@@ -176,14 +206,15 @@ def q_int(ctx: QContext, n: int) -> Fraction:
     return (1 - ctx.q**n) / (1 - ctx.q)
 
 
-@lru_cache(maxsize=None)
 def q_factorial(ctx: QContext, n: int) -> Fraction:
     """Product of q_int(1..n); q_factorial(0) = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    return q_factorial(ctx, n - 1) * q_int(ctx, n)
+    facts = context_cache(ctx).factorials
+    with cache_lock:
+        for m in range(len(facts), n + 1):
+            facts.append(facts[-1] * q_int(ctx, m))
+    return facts[n]
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
@@ -206,8 +237,3 @@ def q_pochhammer(ctx: QContext, a, base, n: int) -> Fraction:
         out *= 1 - a
         a *= base
     return out
-
-
-def q_power(ctx: QContext, exponent_in_quarters: int) -> Fraction:
-    """Exact q**(m/4) where m = exponent_in_quarters (may be negative)."""
-    return ctx.q_pow_quarters(exponent_in_quarters)

@@ -114,21 +114,6 @@ def eval_Eq(ctx: QContext, z) -> mpf:
     return rounded_to_context(ctx, value)
 
 
-def eval_Eq_product(ctx: QContext, z) -> mpf:
-    """E_q(z) through its product form (-z(1-q); q)_infinity."""
-    ctx.require_numeric()
-    wp = _workprec(ctx)
-    with mp.workprec(wp):
-        q = to_mpf(ctx.q)
-        a = -to_mpf(z) * (1 - q)
-        out = mpf(1)
-        tol = mpf(2) ** (-wp + 6)
-        while abs(a) > tol:
-            out *= 1 - a
-            a *= q
-    return rounded_to_context(ctx, out)
-
-
 def eval_expq(ctx: QContext, z) -> mpf:
     """exp_q(z) = sum q^(n(n-1)/4) z^n (1-q)^n / (q;q)_n; entire."""
     ctx.require_numeric()

@@ -152,12 +152,6 @@ class TruncatedSeries:
         return "TruncatedSeries(order=%d, %s)" % (self.order, list(self.coeffs),)
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    if a.order != b.order:
-        raise ValueError("series orders differ: %d vs %d" % (a.order, b.order))
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
     if a.order != b.order:

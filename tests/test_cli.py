@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from qbernoulli import PolyZ, QContext, bernoulli_poly_det
@@ -81,6 +82,7 @@ class TestExitCodes:
         result = run("poly", "--kind", "1", "--q", "1/4", "--n", "1")
         assert result.exit_code == 0
         assert "irrational" in result.stderr
+        assert "exit code 3" in result.stderr
 
 
 class TestZeros:
@@ -154,6 +156,27 @@ class TestExpand:
         result = run("expand", "--q", "1/2", "--input", str(stream), "--terms", "1")
         assert result.exit_code == 3
         assert "cannot truncate" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"coefficients": 5}', "'coefficients'"),
+            ('["1", "1/2"]', "JSON object"),
+            ('{"coefficients": ["1", "one half"]}', "'coefficients[1]'"),
+            ('{"coefficients": ["1", null]}', "'coefficients[1]'"),
+            ('{"coefficients": [0.5]}', "'coefficients[0]'"),
+            ('{"coefficients": ["1/0"]}', "'coefficients[0]'"),
+            ('{"coefficients": ["1"], "tail": {"geometric": []}}', "'tail.geometric'"),
+            ('{"coefficients": ["1"], "tail": "infinite"}', "'tail'"),
+        ],
+    )
+    def test_malformed_stream_is_2(self, tmp_path, text, field):
+        stream = tmp_path / "stream.json"
+        stream.write_text(text)
+        result = run("expand", "--q", "1/2", "--input", str(stream), "--terms", "1")
+        assert result.exit_code == 2
+        assert field in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestGoldenFiles:

@@ -1,9 +1,10 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from qbernoulli import (
-    ExactMatrix,
     ExactModeError,
     PolyZ,
     QContext,
@@ -15,6 +16,8 @@ from qbernoulli import (
     oracle_bernoulli,
     q_int,
 )
+from qbernoulli.detrep import _bareiss_det
+from qbernoulli.qcore import context_cache
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
 ALPHAS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -25,29 +28,27 @@ def ctx_q(q, alpha="1/2"):
 
 
 class TestExactMatrix:
+    """Determinants of exact rational matrices (the Bareiss reference)."""
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            ExactMatrix(rows=())
+            _bareiss_det([])
         with pytest.raises(ValueError):
-            ExactMatrix(rows=((Fraction(1), Fraction(2)),))
+            _bareiss_det([[Fraction(1), Fraction(2)]])
 
     def test_det(self):
-        m = ExactMatrix(rows=((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
-        assert m.det() == -2
+        assert _bareiss_det([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
 
     def test_det_with_zero_pivot(self):
-        m = ExactMatrix(
-            rows=(
-                (Fraction(0), Fraction(1), Fraction(2)),
-                (Fraction(1), Fraction(0), Fraction(1)),
-                (Fraction(2), Fraction(1), Fraction(0)),
-            )
-        )
-        assert m.det() == 4
+        rows = [
+            [Fraction(0), Fraction(1), Fraction(2)],
+            [Fraction(1), Fraction(0), Fraction(1)],
+            [Fraction(2), Fraction(1), Fraction(0)],
+        ]
+        assert _bareiss_det(rows) == 4
 
     def test_singular(self):
-        m = ExactMatrix(rows=((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
-        assert m.det() == 0
+        assert _bareiss_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
 
 
 class TestMu:
@@ -159,11 +160,16 @@ class TestPolynomials:
                 assert bernoulli_poly_value(ctx, kind, n, 0) == bernoulli_number(ctx, kind, n)
 
     def test_value_route_matches_poly_route(self):
-        ctx = ctx_q("1/4")
-        z = Fraction(3, 7)
-        for kind in (1, 2, 3):
-            for n in range(8):
-                assert bernoulli_poly_value(ctx, kind, n, z) == bernoulli_poly_det(ctx, kind, n)(z)
+        # the paper's determinant (value route) against the recurrence table
+        # (poly route) over the whole acceptance grid
+        for q in SQUARE_QS:
+            for alpha in ALPHAS:
+                ctx = QContext.from_q(q, alpha)
+                for kind in (1, 2, 3):
+                    for n in range(13):
+                        poly = bernoulli_poly_det(ctx, kind, n)
+                        for z in (Fraction(3, 7), Fraction(0)):
+                            assert bernoulli_poly_value(ctx, kind, n, z) == poly(z)
 
 
 class TestNumbers:
@@ -177,3 +183,34 @@ class TestNumbers:
         ctx = ctx_q("1/16", "1")
         for n in range(13):
             assert bernoulli_number(ctx, 1, n) == bernoulli_number(ctx, 2, n)
+
+
+class TestTableCache:
+    def test_two_threads_extend_one_table(self):
+        # equal q and alpha, so equal exact tables, but distinct cache keys
+        reference = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 128)
+        shared = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 129)
+        expected = [bernoulli_poly_det(reference, 3, n) for n in range(15)]
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def extend(slot):
+            barrier.wait(timeout=30)
+            results[slot] = [bernoulli_poly_det(shared, 3, n) for n in (14,) + tuple(range(14))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=extend, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            assert result == [expected[14]] + expected[:14]
+        cache = context_cache(shared)
+        assert cache.polys[3] == expected
+        assert len(cache.moments[3]) == 15

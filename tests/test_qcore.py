@@ -10,8 +10,8 @@ from qbernoulli import (
     q_factorial,
     q_int,
     q_pochhammer,
-    q_power,
 )
+from qbernoulli.qcore import CACHED_CONTEXTS, _contexts
 
 
 def ctx_q(q, alpha="1/2"):
@@ -37,6 +37,14 @@ class TestQFactorial:
         assert q_factorial(ctx_q("1/2"), 0) == 1
         assert q_factorial(ctx_q("1/2"), 2) == Fraction(3, 2)
         assert q_factorial(ctx_q("1/2"), 3) == Fraction(21, 8)
+
+    def test_cold_deep_factorial_does_not_recurse(self):
+        # far past the interpreter's recursion limit; q = 2 keeps the
+        # cached values small (their bit sizes grow like n^2 / 2)
+        ctx = ctx_q("1/2").reciprocal_base()
+        deep = q_factorial(ctx, 1200)
+        assert deep == q_factorial(ctx, 1199) * q_int(ctx, 1200)
+        assert deep.denominator == 1
 
 
 class TestQBinomial:
@@ -84,13 +92,13 @@ class TestQPochhammer:
 class TestQPower:
     def test_examples(self):
         ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))
-        assert q_power(ctx, 4) == Fraction(1, 16)
-        assert q_power(ctx, 0) == 1
-        assert q_power(QContext.from_fourth_root(Fraction(2, 3), 0), 6) == Fraction(64, 729)
+        assert ctx.q_pow_quarters(4) == Fraction(1, 16)
+        assert ctx.q_pow_quarters(0) == 1
+        assert QContext.from_fourth_root(Fraction(2, 3), 0).q_pow_quarters(6) == Fraction(64, 729)
 
     def test_negative_quarters(self):
         ctx = QContext.from_fourth_root(Fraction(1, 2), 0)
-        assert q_power(ctx, -4) == 16
+        assert ctx.q_pow_quarters(-4) == 16
 
     def test_root_tiers(self):
         # q = 1/4: square root rational, fourth root not
@@ -138,3 +146,10 @@ class TestQContext:
         strings = [str(v) for v in values]
         assert strings == ["-1/2", "3", "21/8", "0"]
         assert [Fraction(s) for s in strings] == values
+
+    def test_cache_holds_a_bounded_number_of_contexts(self):
+        for i in range(100):
+            ctx = QContext.from_q(Fraction(1, 1000 + i), Fraction(1, 2))
+            assert q_factorial(ctx, 2) == 1 + ctx.q
+        assert CACHED_CONTEXTS == 64
+        assert len(_contexts) <= CACHED_CONTEXTS
