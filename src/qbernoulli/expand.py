@@ -198,7 +198,10 @@ def _tail_geometry(ctx: QContext):
         p *= ctx.q
     rest = 1 - ctx.q ** (m + 1) / (1 - ctx.q)
     if rest <= 0:
-        raise QBernError("cannot truncate")
+        raise QBernError(
+            "cannot truncate: the rational lower bound for (q;q)_inf fails at q = %s "
+            "(1 - q^%d/(1 - q) = %.3g <= 0)" % (ctx.q, m + 1, rest)
+        )
     return d, sigma, qq * rest
 
 
@@ -212,11 +215,16 @@ def l_truncation_bound(ctx: QContext, stream: CoefficientStream, n: int) -> Frac
         return Fraction(0)
     M = stream.last_index
     if n > M:
-        raise QBernError("cannot truncate")
+        raise QBernError(
+            "cannot truncate: n = %d is past the stream's last index M = %d" % (n, M)
+        )
     d, sigma, qq_lower = _tail_geometry(ctx)
     rho = stream.tail_ratio
     if rho * sigma >= 1:
-        raise QBernError("cannot truncate")
+        raise QBernError(
+            "cannot truncate: the tail ratio rho = %s times the moment envelope "
+            "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
+        )
     g_M = abs(scaled_coefficient(ctx, stream, M))
     return g_M * d / qq_lower * sigma ** (M - n) * (rho * sigma) / (1 - rho * sigma)
 
@@ -303,7 +311,10 @@ def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N
     l_coefficients on the corresponding context.
     """
     if stream.tail_kind != "finite":
-        raise QBernError("cannot truncate")
+        raise QBernError(
+            "cannot truncate: the corollary weights need a finite stream, got a %s tail"
+            % stream.tail_kind
+        )
     q = ctx.q
 
     if variant == "bernoulli":

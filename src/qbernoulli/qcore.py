@@ -90,6 +90,14 @@ class QContext:
             raise ValueError("alpha must be > -1")
         if self.float_precision_bits < 1:
             raise ValueError("float_precision_bits must be positive")
+        # every cache lookup hashes the context, and each Fraction hash
+        # computes a modular inverse: hash once.  The roots are left out,
+        # since equal contexts agree on them anyway and hash(None) is not
+        # stable across processes.
+        object.__setattr__(self, "_hash", hash((self.q, self.alpha, self.float_precision_bits)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_fourth_root(cls, b, alpha, float_precision_bits: int = 128) -> "QContext":

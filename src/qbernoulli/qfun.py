@@ -203,6 +203,31 @@ def eval_qtrig(ctx: QContext, kind: QTrigKind, z) -> mpf:
 # Jackson q-Bessel functions
 
 
+def _modified_bessel_ratio(kind: int, Q: mpf, alpha: mpf, z: mpf):
+    """n -> f_n, where term n+1 of the kind's modified series in base Q
+    is -f_n times term n.
+
+    The kind sets the weight in f_n: 1, Q**(alpha+2n+1) or Q**(n+1).
+    """
+    if kind not in (1, 2, 3):
+        raise ValueError("kind must be 1, 2 or 3")
+    X = z if kind == 3 else z / 2
+    if kind == 1 and abs(X) >= 1:
+        raise DomainError("kind-1 q-Bessel series converges only for |z| < 2")
+    Qa1 = mpmath.power(Q, alpha + 1)
+
+    def ratio(n):
+        if kind == 1:
+            w = mpf(1)
+        elif kind == 2:
+            w = mpmath.power(Q, alpha + 2 * n + 1)
+        else:
+            w = Q ** (n + 1)
+        return w * X * X / ((1 - Q ** (n + 1)) * (1 - Qa1 * Q**n))
+
+    return ratio
+
+
 def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, precision=None):
     """(value, bound) for the modified Jackson function of the given kind.
 
@@ -211,28 +236,15 @@ def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, p
     kind 1 converges only for |z| < 2.
     """
     ctx.require_numeric()
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
     if base_exponent not in (1, 2):
         raise ValueError("base_exponent must be 1 or 2")
     wp = _workprec(ctx, precision)
     with mp.workprec(wp):
         Q = to_mpf(ctx.q) ** base_exponent
-        z = to_mpf(z)
-        X = z if kind == 3 else z / 2
-        if kind == 1 and abs(X) >= 1:
-            raise DomainError("kind-1 q-Bessel series converges only for |z| < 2")
-        alpha = to_mpf(ctx.alpha)
-        Qa1 = mpmath.power(Q, alpha + 1)
+        ratio = _modified_bessel_ratio(kind, Q, to_mpf(ctx.alpha), to_mpf(z))
 
         def step(n, term):
-            if kind == 1:
-                w = mpf(1)
-            elif kind == 2:
-                w = mpmath.power(Q, alpha + 2 * n + 1)
-            else:
-                w = Q ** (n + 1)
-            f = w * X * X / ((1 - Q ** (n + 1)) * (1 - Qa1 * Q**n))
+            f = ratio(n)
             return -term * f, f
 
         return certified_sum(mpf(1), step, wp)
@@ -243,33 +255,15 @@ def modified_bessel_derivative_certified(ctx: QContext, kind: int, z, precision=
     ctx.require_numeric()
     wp = _workprec(ctx, precision)
     with mp.workprec(wp):
-        Q = to_mpf(ctx.q) ** 2
         z = to_mpf(z)
-        X = z if kind == 3 else z / 2
-        if kind == 1 and abs(X) >= 1:
-            raise DomainError("kind-1 q-Bessel series converges only for |z| < 2")
-        alpha = to_mpf(ctx.alpha)
-        Qa1 = mpmath.power(Q, alpha + 1)
-        if kind == 1:
-            f0 = X * X / ((1 - Q) * (1 - Qa1))
-        elif kind == 2:
-            f0 = Qa1 * X * X / ((1 - Q) * (1 - Qa1))
-        else:
-            f0 = Q * X * X / ((1 - Q) * (1 - Qa1))
-        first = -2 * f0 / z
+        ratio = _modified_bessel_ratio(kind, to_mpf(ctx.q) ** 2, to_mpf(ctx.alpha), z)
+        first = -2 * ratio(0) / z
 
         def step(m, term):
             n = m + 1  # current series index of `term` is n, producing n+1
-            if kind == 1:
-                w = mpf(1)
-            elif kind == 2:
-                w = mpmath.power(Q, alpha + 2 * n + 1)
-            else:
-                w = Q ** (n + 1)
-            f = w * X * X / ((1 - Q ** (n + 1)) * (1 - Qa1 * Q**n))
+            f = ratio(n)
             # term carries the 2n/z factor; the ratio picks up (n+1)/n
-            ratio = f * mpf(n + 1) / n
-            return -term * f * mpf(n + 1) / n, ratio
+            return -term * f * mpf(n + 1) / n, f * mpf(n + 1) / n
 
         return certified_sum(first, step, wp)
 

@@ -1,12 +1,18 @@
 """Dense polynomials in z, truncated power series in t, and the
 generating-function oracle for the three polynomial families.
 
-The oracle route builds each family's generating function as a truncated
-formal series in t — a numerator series with polynomial coefficients and
-an even scalar denominator series — divides, and reads the polynomial
-off the t**n coefficient.  It is kept deliberately independent of the
-determinant construction in :mod:`qbernoulli.detrep` so the two can be
-compared coefficient-for-coefficient.
+Each family's generating function is e(zt) h(t) / g(t): e is the kind's
+q-exponential, h the same exponential at -t/2 and g the even q-Bessel
+series.  The family is therefore q-Appell, and the oracle reads the
+t**n coefficient off e(zt) times the scalar series s = h/g: the z**i
+coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i), with
+w_i the exponential's weight.  Only scalar series are multiplied, and
+only the coefficient asked for is formed.  The oracle uses no moments
+and no recurrence, so it stays independent of the determinant
+construction in :mod:`qbernoulli.detrep` and the two can be compared
+coefficient-for-coefficient.  :func:`gf_numerator` builds the
+polynomial-coefficient numerator e(zt) h(t) in full; the tests divide
+it by g as the reference for that read-off.
 
 Series here are formal: truncation order is the only contract, and the
 convergence radii of the underlying functions are not enforced (they
@@ -254,6 +260,8 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
 
     Coefficients are PolyZ of degree <= m; the z**i part carries the
     weight of the exponential at z*t, the scalar part that at -t/2.
+    Divided by :func:`gf_denominator`, it is the tests' reference for the
+    read-off in :func:`oracle_bernoulli`.
     """
     require_exact_alpha(ctx)
     at_z = TruncatedSeries(
@@ -270,13 +278,19 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
 def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
     """The degree-n family member, read off the generating function.
 
-    Computes numerator/denominator to order n and scales the t**n
-    coefficient by [n]_q!.  Exact; serves as the independent check of the
-    determinant representation.
+    Forms the scalar series s = h/g to order n and returns the t**n
+    coefficient of e(zt) s(t) scaled by [n]_q!, i.e. the z**i coefficient
+    [n]_q!/[i]_q! * exp_weight(i) * s_(n-i).  Exact; serves as the
+    independent check of the determinant representation.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    num = gf_numerator(ctx, kind, n)
     den = gf_denominator(ctx, kind, n)
-    quotient = series_mul(num, series_reciprocal(den))
-    return quotient.coefficient(n) * q_factorial(ctx, n)
+    s = series_mul(exponential_series(ctx, kind, n, Fraction(-1, 2)), series_reciprocal(den))
+    n_fact = q_factorial(ctx, n)
+    return PolyZ(
+        [
+            n_fact / q_factorial(ctx, i) * exp_weight(ctx, kind, i) * s.coefficient(n - i)
+            for i in range(n + 1)
+        ]
+    )

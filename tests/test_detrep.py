@@ -123,6 +123,12 @@ class TestPolynomials:
             assert bernoulli_poly_det(ctx, kind, 0) == PolyZ([1])
             assert bernoulli_poly_det(ctx, kind, 1) == PolyZ([Fraction(-1, 2), 1])
 
+    def test_recurrence_matches_oracle_to_degree_40(self):
+        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))
+        for kind in (1, 2, 3):
+            for n in range(41):
+                assert bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
+
     def test_oracle_equivalence_spot(self):
         # the full grid runs in the acceptance suite
         ctx = ctx_q("9/16", "0")

@@ -164,6 +164,26 @@ class TestLCoefficients:
         with pytest.raises(QBernError, match="cannot truncate"):
             l_coefficients(ctx, stream, 2)
 
+    def test_cannot_truncate_names_rho_and_sigma(self):
+        ctx = ctx_q("1/2")
+        stream = CoefficientStream([1, 1, 1], "geometric", Fraction(50))
+        # sigma = (1 - q)/(2(1 - q^3)) = 2/7 at q = 1/2, alpha = 1/2
+        with pytest.raises(QBernError, match=r"rho = 50 .* sigma = 2/7 is 100/7 >= 1"):
+            l_truncation_bound(ctx, stream, 0)
+
+    def test_cannot_truncate_past_the_stream(self):
+        ctx = ctx_q("1/2")
+        stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
+        with pytest.raises(QBernError, match="cannot truncate: n = 3 .* M = 2"):
+            l_truncation_bound(ctx, stream, 3)
+
+    def test_cannot_truncate_without_a_product_bound(self):
+        # at q = 19/20 the bound 1 - q^41/(1 - q) is negative
+        ctx = ctx_q("19/20")
+        stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
+        with pytest.raises(QBernError, match=r"cannot truncate: .*\(q;q\)_inf .* q = 19/20 .*q\^41"):
+            l_truncation_bound(ctx, stream, 0)
+
 
 class TestReconstruction:
     def test_monomials_exact(self):
@@ -236,3 +256,9 @@ class TestCorollaryWrappers:
         stream = CoefficientStream([1], "geometric", Fraction(1, 4))
         with pytest.raises(QBernError, match="cannot truncate"):
             corollary_wrappers(ctx, stream, "bernoulli", 0)
+
+    def test_requires_finite_stream_names_the_tail(self):
+        ctx = ctx_q("1/2")
+        stream = CoefficientStream([1], "geometric", Fraction(1, 4))
+        with pytest.raises(QBernError, match="cannot truncate: .*finite stream, got a geometric tail"):
+            corollary_wrappers(ctx, stream, "euler", 0)

@@ -11,7 +11,7 @@ from qbernoulli import (
     q_int,
     q_pochhammer,
 )
-from qbernoulli.qcore import CACHED_CONTEXTS, _contexts
+from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache
 
 
 def ctx_q(q, alpha="1/2"):
@@ -146,6 +146,19 @@ class TestQContext:
         strings = [str(v) for v in values]
         assert strings == ["-1/2", "3", "21/8", "0"]
         assert [Fraction(s) for s in strings] == values
+
+    def test_equal_contexts_share_hash_and_cache_entry(self):
+        pairs = [
+            (QContext.from_q(Fraction(1, 16), Fraction(1, 2)),
+             QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))),
+            (QContext.from_q(Fraction(1, 4), 0).with_alpha(1),
+             QContext.from_q(Fraction(1, 4), 1)),
+        ]
+        for a, b in pairs:
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+            assert context_cache(a) is context_cache(b)
+        assert hash(pairs[0][0]) != hash(pairs[0][0].with_alpha(1))
 
     def test_cache_holds_a_bounded_number_of_contexts(self):
         for i in range(100):

@@ -19,7 +19,11 @@ from qbernoulli import (
     phi32,
     recip_expq_coeffs,
 )
-from qbernoulli.qfun import modified_bessel_certified, qpochhammer_infinite
+from qbernoulli.qfun import (
+    modified_bessel_certified,
+    modified_bessel_derivative_certified,
+    qpochhammer_infinite,
+)
 from qbernoulli.series import expq_reciprocal_series
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
@@ -119,6 +123,14 @@ class TestBessel:
             approx = (value - 1) / (mpf(h.numerator) / mpf(h.denominator)) ** 2
             target = mpf(coefficient.numerator) / mpf(coefficient.denominator)
             assert abs(approx - target) < mpf(2) ** -50
+
+    def test_unknown_kind_raises(self):
+        ctx = ctx_q("1/2")
+        for kind in (0, 4):
+            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                modified_bessel_certified(ctx, kind, 2, Fraction(1, 3))
+            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                modified_bessel_derivative_certified(ctx, kind, Fraction(1, 3))
 
     def test_certified_bound_is_small(self):
         ctx = ctx_q("1/2", bits=128)

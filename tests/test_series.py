@@ -146,6 +146,20 @@ class TestGeneratingFunction:
         assert oracle_bernoulli(ctx, 1, 1) == PolyZ([Fraction(-1, 2), 1])
         assert oracle_bernoulli(ctx, 2, 0) == PolyZ([1])
 
+    def test_oracle_matches_the_full_quotient(self):
+        # the oracle's Appell read-off against [n]_q! [t^n] of the
+        # polynomial-coefficient numerator over the denominator
+        for q in (Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)):
+            for alpha in ALPHAS:
+                ctx = QContext.from_q(q, alpha)
+                for kind in (1, 2, 3):
+                    quotient = series_mul(
+                        gf_numerator(ctx, kind, 12), series_reciprocal(gf_denominator(ctx, kind, 12))
+                    )
+                    for n in range(13):
+                        expected = quotient.coefficient(n) * q_factorial(ctx, n)
+                        assert oracle_bernoulli(ctx, kind, n) == expected
+
 
 def scalar_reciprocal_product(ctx, kind, scale, order):
     """exponential(kind) at scale*t times the reciprocal of the kind's
