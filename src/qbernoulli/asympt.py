@@ -2,9 +2,12 @@
 and the large-degree leading terms of the type-2 and type-3 families.
 
 Zero location brackets the first certified sign change by geometric
-stepping from the origin, then bisects; every sign decision uses the
-tail-bounded evaluations from :mod:`qbernoulli.qfun`, escalating the
-working precision when a value sits too close to zero to certify.
+stepping from the origin, then shrinks the bracket by ITP refinement
+(interpolate, truncate, project: a secant step held within one probe of
+bisection's worst case), keeping every probe off the bracket's ends.
+Every sign decision uses the tail-bounded evaluations from
+:mod:`qbernoulli.qfun`, escalating the working precision when a value
+sits too close to zero to certify.
 
 The leading term of the degree-n polynomial at real z is
 
@@ -56,17 +59,23 @@ class AsymptoticTerm:
     components: dict
 
 
-def _certified_sign(evaluate, x, precision):
-    """Sign of evaluate(x, wp) with the certificate |value| > bound.
+def _certified_value(evaluate, x, precision):
+    """(sign, value) of evaluate(x, wp), the sign certified by |value| > bound.
 
     Escalates working precision a few times; if the value stays
-    indistinguishable from zero the point is reported as such (sign 0).
+    indistinguishable from zero the point is reported as such (sign 0,
+    with the last value computed).
     """
     for wp in (precision + 40, precision * 2 + 40, precision * 4 + 80):
         value, bound = evaluate(x, wp)
         if abs(value) > bound:
-            return 1 if value > 0 else -1
-    return 0
+            return (1 if value > 0 else -1), value
+    return 0, value
+
+
+def _certified_sign(evaluate, x, precision):
+    """Certified sign of evaluate(x, wp); 0 when none can be certified."""
+    return _certified_value(evaluate, x, precision)[0]
 
 
 def _resolve_sign(evaluate, x, step, precision):
@@ -116,26 +125,56 @@ def bracket_first_zero(evaluate, initial_step, precision, search_cap=None):
 
 def bisect_zero(evaluate, lo, hi, precision):
     """Shrink a certified (+, -) bracket until its width falls below
-    2**-(precision+8); returns (lo, hi, location).
+    2**-(precision+8) * max(1, hi); returns (lo, hi, location).
 
-    Both returned endpoints keep certified signs.  When a midpoint sits
-    so close to the zero that no affordable precision certifies its
-    sign, that midpoint is already a better location than the target
-    width asks for; it is returned with the current (certified) bracket.
+    The method is ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2021), not
+    bisection; the name stays because perfbench/tracing.py and the
+    acceptance tests bind this function by name.  Each probe is the
+    regula-falsi point of the certified end values, truncated toward the
+    midpoint by kappa1 * width**2 and projected into a radius around the
+    midpoint that shrinks so that no run needs more than one probe beyond
+    bisection's count.  Every probe is also kept a quarter of the target
+    width inside both ends, or an interpolated point that rounds onto an
+    end would make no progress.
+
+    Both returned endpoints keep certified signs.  When a probe sits so
+    close to the zero that no affordable precision certifies its sign,
+    that probe is already a better location than the target width asks
+    for; it is returned with the current (certified) bracket.
     """
     with mp.workprec(precision + 40):
         lo = mpf(lo)
         hi = mpf(hi)
-        target = mpf(2) ** (-(precision + 8)) * max(mpf(1), hi)
-        while hi - lo > target:
+        # lo only grows, so this target also holds against the final hi
+        target = mpf(2) ** (-(precision + 8)) * max(mpf(1), lo)
+        width = hi - lo
+        if width <= target:
+            return lo, hi, (lo + hi) / 2
+        kappa1 = mpf(0.2) / width
+        # n0 = 1 probe beyond bisection's ceil(log2(width / target))
+        n_max = int(mpmath.ceil(mpmath.log(width / target, 2))) + 1
+        f_lo = _certified_value(evaluate, lo, precision)[1]
+        f_hi = _certified_value(evaluate, hi, precision)[1]
+        j = 0
+        while width > target:
             mid = (lo + hi) / 2
-            sign = _certified_sign(evaluate, mid, precision)
+            falsi = lo + width * f_lo / (f_lo - f_hi) if f_lo != f_hi else mid
+            toward = 1 if mid >= falsi else -1
+            delta = kappa1 * width**2  # kappa2 = 2
+            probe = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+            radius = max(target / 2 * 2 ** (n_max - j) - width / 2, mpf(0))
+            if abs(probe - mid) > radius:
+                probe = mid - toward * radius
+            probe = min(max(probe, lo + target / 4), hi - target / 4)
+            sign, value = _certified_value(evaluate, probe, precision)
             if sign == 0:
-                return lo, hi, mid
+                return lo, hi, probe
             if sign > 0:
-                lo = mid
+                lo, f_lo = probe, value
             else:
-                hi = mid
+                hi, f_hi = probe, value
+            width = hi - lo
+            j += 1
         return lo, hi, (lo + hi) / 2
 
 

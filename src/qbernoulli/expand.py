@@ -181,28 +181,40 @@ def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> Growt
         )
 
 
+# the exact product's bit size grows like m^2; past this q is too close to 1
+_MAX_PRODUCT_FACTORS = 256
+
+
 def _tail_geometry(ctx: QContext):
     """sigma with |mu_j / [j]_q!| <= d * sigma**j / (q;q)_inf-lower-bound.
 
     Each cancelled-ratio factor of mu_j is at most 1/(1 - q^(2a+2)), so
     |mu_j| <= 2^-j (1 - q^(2a+2))^(1-j) and 1/[j]_q! <= (1-q)^j / (q;q)_inf.
+    (q;q)_inf is bounded below by the first m factors times
+    1 - q^(m+1)/(1 - q): m = 40 wherever that is positive, else the
+    smallest m that makes it at least 1/2, up to _MAX_PRODUCT_FACTORS.
     """
+    q = ctx.q
     d = 1 - ctx.q_pow(2 * ctx.alpha + 2)
-    sigma = (1 - ctx.q) / (2 * d)
-    # rational lower bound for (q; q)_infinity
+    sigma = (1 - q) / (2 * d)
     m = 40
+    tail = q ** (m + 1)
+    if tail / (1 - q) >= 1:
+        while tail > (1 - q) / 2 and m < _MAX_PRODUCT_FACTORS:
+            m += 1
+            tail *= q
+        if tail > (1 - q) / 2:
+            raise QBernError(
+                "cannot truncate: the rational lower bound for (q;q)_inf fails at q = %s: "
+                "q is too close to 1 (1 - q^%d/(1 - q) = %.3g < 1/2 after %d factors)"
+                % (q, m + 1, 1 - tail / (1 - q), m)
+            )
     qq = Fraction(1)
-    p = ctx.q
+    p = q
     for _ in range(m):
         qq *= 1 - p
-        p *= ctx.q
-    rest = 1 - ctx.q ** (m + 1) / (1 - ctx.q)
-    if rest <= 0:
-        raise QBernError(
-            "cannot truncate: the rational lower bound for (q;q)_inf fails at q = %s "
-            "(1 - q^%d/(1 - q) = %.3g <= 0)" % (ctx.q, m + 1, rest)
-        )
-    return d, sigma, qq * rest
+        p *= q
+    return d, sigma, qq * (1 - tail / (1 - q))
 
 
 def l_truncation_bound(ctx: QContext, stream: CoefficientStream, n: int) -> Fraction:

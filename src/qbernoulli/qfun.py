@@ -251,12 +251,17 @@ def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, p
 
 
 def modified_bessel_derivative_certified(ctx: QContext, kind: int, z, precision=None):
-    """(value, bound) of d/dz of the modified function, base q**2."""
+    """(value, bound) of d/dz of the modified function, base q**2.
+
+    The modified function is even, so the derivative at z = 0 is exactly 0.
+    """
     ctx.require_numeric()
     wp = _workprec(ctx, precision)
     with mp.workprec(wp):
         z = to_mpf(z)
         ratio = _modified_bessel_ratio(kind, to_mpf(ctx.q) ** 2, to_mpf(ctx.alpha), z)
+        if z == 0:
+            return mpf(0), mpf(0)
         first = -2 * ratio(0) / z
 
         def step(m, term):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -15,6 +16,9 @@ from qbernoulli import (
     ratio_diagnostic,
     smallest_zero,
 )
+from qbernoulli import asympt
+from qbernoulli.asympt import bisect_zero
+from qbernoulli.qcore import ContextCache
 from qbernoulli.qfun import modified_bessel_certified, qtrig_certified, to_mpf
 
 # independently frozen from a first run at elevated precision
@@ -62,6 +66,70 @@ class TestSmallestZero:
         fine = smallest_zero(ctx_q("1/2", bits=160), 2, precision=160)
         with mp.workprec(220):
             assert abs(coarse.location - fine.location) < mpf(2) ** -60
+
+
+def _target(precision, hi):
+    return mpf(2) ** -(precision + 8) * max(mpf(1), hi)
+
+
+class TestRefinement:
+    """The zero refinement's contract and its probe counts."""
+
+    CASES = [
+        (QContext.from_q(Fraction(1, 2), Fraction(1, 2), 128), 2),
+        (QContext.from_q(Fraction(1, 2), Fraction(1, 2), 128), 3),
+        # interpolation rounds onto hi here unless probes keep off the ends
+        (QContext.from_fourth_root(Fraction(3, 4), Fraction(-1, 2), 128), 2),
+    ]
+
+    @pytest.mark.parametrize("ctx, kind", CASES)
+    def test_contract_and_evaluation_count(self, monkeypatch, ctx, kind):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return modified_bessel_certified(*args, **kwargs)
+
+        # a cold cache entry, so the zero is located rather than looked up
+        monkeypatch.setattr(asympt, "context_cache", lambda ctx: ContextCache())
+        monkeypatch.setattr(asympt, "modified_bessel_certified", counting)
+        result = smallest_zero(ctx, kind, 128)
+        lo, hi = result.certified_interval
+        assert len(calls) <= 40  # plain bisection took about 145
+        vlo, blo = modified_bessel_certified(ctx, kind, 2, lo, precision=192)
+        vhi, bhi = modified_bessel_certified(ctx, kind, 2, hi, precision=192)
+        assert vlo > blo and -vhi > bhi
+        with mp.workprec(168):
+            assert hi - lo <= _target(128, hi)
+        assert lo <= result.location <= hi
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # a steep step: the end values carry no information about the zero
+            lambda x: mpmath.tanh(mpf(2) ** 40 * (1 - 3 * x)),
+            # flat to all orders at the zero, so the secant is always poor
+            lambda x: mpmath.sign(1 - 3 * x) * mpmath.exp(-1 / (1 - 3 * x) ** 2),
+        ],
+        ids=["tanh", "flat"],
+    )
+    def test_never_worse_than_bisection_plus_one(self, f):
+        # the zero is 1/3, which no binary probe hits exactly
+        precision = 64
+        calls = []
+
+        def evaluate(x, wp):
+            calls.append(x)
+            with mp.workprec(wp + 8):  # 1 - 3x exact
+                return f(x), mpf(0)
+
+        lo, hi, location = bisect_zero(evaluate, mpf(0), mpf(1), precision)
+        with mp.workprec(precision + 48):
+            bisection = precision + 8  # halvings from width 1 to the target
+            assert len(calls) <= bisection + 1 + 2  # + the two end values
+            assert f(lo) > 0 and f(hi) < 0
+            assert hi - lo <= _target(precision, hi)
+            assert lo <= location <= hi
 
 
 class TestNamedTrigZeros:

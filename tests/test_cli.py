@@ -102,6 +102,24 @@ class TestZeros:
             assert "e-" in mantissa  # residuals are tiny
 
 
+    @pytest.mark.parametrize("precision", [128, 512])
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize(
+        "context", [("--q", "1/2", "--alpha", "1/2"), ("--q-quarter", "3/4", "--alpha", "-1/2")]
+    )
+    def test_certificates_read_back(self, context, kind, precision):
+        result = run("zeros", *context, "--kind", str(kind), "--precision", str(precision))
+        assert result.exit_code == 0
+
+        def value(text):
+            return Fraction(text.rpartition("@")[0])
+
+        rows = json.loads(result.stdout)["payload"]
+        assert len(rows) == 3
+        for row in rows:
+            assert value(row["interval_lo"]) <= value(row["location"]) <= value(row["interval_hi"])
+            assert value(row["residual"]) <= Fraction(1, 2 ** (precision - 16))
+
 class TestAsympt:
     def test_table_and_trend(self):
         result = run(

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -22,7 +23,8 @@ from qbernoulli import (
     reconstruct_poly,
     tau_estimate,
 )
-from qbernoulli.expand import l_truncation_bound
+from qbernoulli.expand import _tail_geometry, l_truncation_bound
+from qbernoulli.qfun import to_mpf
 
 
 def ctx_q(q, alpha="1/2", bits=128):
@@ -178,11 +180,30 @@ class TestLCoefficients:
             l_truncation_bound(ctx, stream, 3)
 
     def test_cannot_truncate_without_a_product_bound(self):
-        # at q = 19/20 the bound 1 - q^41/(1 - q) is negative
+        # at q = 999/1000 even 256 factors leave 1 - q^257/(1 - q) negative
+        ctx = ctx_q("999/1000")
+        stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
+        with pytest.raises(
+            QBernError, match=r"cannot truncate: .*\(q;q\)_inf .* q = 999/1000: q is too close to 1"
+        ):
+            l_truncation_bound(ctx, stream, 0)
+
+    def test_product_bound_near_one(self):
+        # at q = 19/20 the 40-factor bound 1 - q^41/(1 - q) is negative;
+        # a longer product certifies the stream
         ctx = ctx_q("19/20")
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
-        with pytest.raises(QBernError, match=r"cannot truncate: .*\(q;q\)_inf .* q = 19/20 .*q\^41"):
-            l_truncation_bound(ctx, stream, 0)
+        assert l_truncation_bound(ctx, stream, 0) > 0
+        lower = _tail_geometry(ctx)[2]
+        with mp.workprec(200):
+            assert 0 < to_mpf(lower) <= mpmath.qp(mpf(19) / 20)
+
+    def test_product_bound_keeps_forty_factors(self):
+        ctx = ctx_q("1/2")
+        forty = Fraction(1)
+        for k in range(1, 41):
+            forty *= 1 - ctx.q**k
+        assert _tail_geometry(ctx)[2] == forty * (1 - ctx.q**41 / (1 - ctx.q))
 
 
 class TestReconstruction:

@@ -129,8 +129,15 @@ class TestBessel:
         for kind in (0, 4):
             with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
                 modified_bessel_certified(ctx, kind, 2, Fraction(1, 3))
-            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
-                modified_bessel_derivative_certified(ctx, kind, Fraction(1, 3))
+            for z in (Fraction(1, 3), 0):  # the kind is checked before z = 0
+                with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                    modified_bessel_derivative_certified(ctx, kind, z)
+
+    def test_derivative_at_the_origin(self):
+        # the modified function is even, so its slope at 0 is exactly 0
+        ctx = ctx_q("1/2")
+        for kind in (1, 2, 3):
+            assert modified_bessel_derivative_certified(ctx, kind, 0) == (0, 0)
 
     def test_certified_bound_is_small(self):
         ctx = ctx_q("1/2", bits=128)
