@@ -40,7 +40,6 @@ from .qfun import (
     recip_expq_coeffs,
 )
 from .detrep import (
-    BernoulliMatrix,
     bernoulli_number,
     bernoulli_poly_det,
     bernoulli_poly_value,

@@ -16,7 +16,8 @@ The leading term of the degree-n polynomial at real z is
 where c is the first Bessel zero scaled into the generating variable,
 J' the derivative of the modified Bessel function at that zero, T_n the
 parity-matched combination of the family's trigonometric pair at 2cz
-and at c, and pref = 2/(1-q) for kind 2 or 4 q^(1/4)/(1-q) for kind 3.
+and at c, and pref = 4 times the zero scale: 2/(1-q) for kind 2 or
+4 q^(1/4)/(1-q) for kind 3.
 """
 
 from __future__ import annotations
@@ -226,11 +227,19 @@ _NAMED = {
 }
 
 
+def _zero_scale(q: mpf, kind: int) -> mpf:
+    """Factor taking a first Bessel zero into the generating variable:
+    1/(2(1-q)) for kind 2, q^(1/4)/(1-q) for kind 3."""
+    if kind == 2:
+        return 1 / (2 * (1 - q))
+    return mpmath.power(q, mpf(1) / 4) / (1 - q)
+
+
 def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> ZeroResult:
     """Smallest positive zero of Sin_q, Cos_q, S_q, or z -> C_q(sqrt(q) z).
 
-    Each is the alpha = +-1/2 reduction of a first q-Bessel zero: the
-    kind-2 zeros scale by 1/(2(1-q)), the kind-3 zeros by q^(1/4)/(1-q).
+    Each is the alpha = +-1/2 reduction of a first q-Bessel zero, scaled
+    by :func:`_zero_scale`.
     The reported residual is the q-trig function's own value at the
     location, an independent check of the reduction.
     """
@@ -244,10 +253,7 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
     bessel = smallest_zero(reduced, kind, precision)
     with mp.workprec(precision + 40):
         q = to_mpf(ctx.q)
-        if kind == 2:
-            scale = 1 / (2 * (1 - q))
-        else:
-            scale = mpmath.power(q, mpf(1) / 4) / (1 - q)
+        scale = _zero_scale(q, kind)
         location = bessel.location * scale
         interval = (bessel.certified_interval[0] * scale, bessel.certified_interval[1] * scale)
         argument = location * mpmath.sqrt(q) if prescale else location
@@ -291,13 +297,8 @@ def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
     zero = smallest_zero(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
     with mp.workprec(precision + 40):
-        q = to_mpf(ctx.q)
-        if kind == 2:
-            scale = 1 / (2 * (1 - q))
-            prefactor = 2 / (1 - q)
-        else:
-            scale = mpmath.power(q, mpf(1) / 4) / (1 - q)
-            prefactor = 4 * mpmath.power(q, mpf(1) / 4) / (1 - q)
+        scale = _zero_scale(to_mpf(ctx.q), kind)
+        prefactor = 4 * scale  # exact: a power of two
         constant = zero.location * scale
         lo, hi = zero.certified_interval
         constant_width = (hi - lo) * scale

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from fractions import Fraction
 
 import click
@@ -100,7 +99,35 @@ def common_options(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a library error (QBernError) in any
+    subcommand prints "error: <message>" on stderr and exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QBernError as exc:
+            click.echo("error: %s" % exc, err=True)
+            ctx.exit(EXIT_DOMAIN)
+
+
+def _table(n_max: int, via: str, det, oracle) -> list[dict]:
+    """Rows n = 0..n_max holding det(n), oracle(n), or both and whether
+    they match."""
+    rows = []
+    for n in range(n_max + 1):
+        row = {"n": n}
+        if via in ("det", "both"):
+            row["det"] = det(n)
+        if via in ("oracle", "both"):
+            row["oracle"] = oracle(n)
+        if via == "both":
+            row["match"] = row["det"] == row["oracle"]
+        rows.append(row)
+    return rows
+
+
+@click.group(cls=_Main)
 def main():
     """Generalized q-Bernoulli polynomial toolkit."""
 
@@ -114,20 +141,12 @@ def main():
 def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Polynomial coefficient tables for degrees 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    try:
-        rows = []
-        for n in range(n_max + 1):
-            row = {"n": n}
-            if via in ("det", "both"):
-                row["det"] = bernoulli_poly_det(ctx, kind, n).to_strings()
-            if via in ("oracle", "both"):
-                row["oracle"] = oracle_bernoulli(ctx, kind, n).to_strings()
-            if via == "both":
-                row["match"] = row["det"] == row["oracle"]
-            rows.append(row)
-    except QBernError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(EXIT_DOMAIN)
+    rows = _table(
+        n_max,
+        via,
+        lambda n: bernoulli_poly_det(ctx, kind, n).to_strings(),
+        lambda n: oracle_bernoulli(ctx, kind, n).to_strings(),
+    )
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("poly", params, rows, fmt))
@@ -152,20 +171,12 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
 def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Number tables (the polynomials at z = 0) for indices 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    try:
-        rows = []
-        for n in range(n_max + 1):
-            row = {"n": n}
-            if via in ("det", "both"):
-                row["det"] = str(bernoulli_number(ctx, kind, n))
-            if via in ("oracle", "both"):
-                row["oracle"] = str(oracle_bernoulli(ctx, kind, n).coefficient(0))
-            if via == "both":
-                row["match"] = row["det"] == row["oracle"]
-            rows.append(row)
-    except QBernError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(EXIT_DOMAIN)
+    rows = _table(
+        n_max,
+        via,
+        lambda n: str(bernoulli_number(ctx, kind, n)),
+        lambda n: str(oracle_bernoulli(ctx, kind, n).coefficient(0)),
+    )
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("numbers", params, rows, fmt))
@@ -188,13 +199,9 @@ _ZERO_NAMES = {2: ("Sin_q", "Cos_q"), 3: ("S_q", "C_q_scaled")}
 def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
     """First q-Bessel zero for this context plus the named trig zeros."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    try:
-        entries = [("bessel_first_zero", asympt_mod.smallest_zero(ctx, kind))]
-        for name in _ZERO_NAMES[kind]:
-            entries.append((name, asympt_mod.named_trig_zero(ctx, name)))
-    except QBernError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(EXIT_DOMAIN)
+    entries = [("bessel_first_zero", asympt_mod.smallest_zero(ctx, kind))]
+    for name in _ZERO_NAMES[kind]:
+        entries.append((name, asympt_mod.named_trig_zero(ctx, name)))
     rows = [
         {
             "name": name,
@@ -223,11 +230,7 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
     """Exact values against leading asymptotic terms for n = 1..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
     z = _parse_rational(z, "--z")
-    try:
-        rows = asympt_mod.ratio_diagnostic(ctx, kind, z, range(1, n_max + 1))
-    except QBernError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(EXIT_DOMAIN)
+    rows = asympt_mod.ratio_diagnostic(ctx, kind, z, range(1, n_max + 1))
     decreasing = all(
         later.abs_ratio_minus_1 < earlier.abs_ratio_minus_1
         for earlier, later in zip(rows, rows[2:])
@@ -285,9 +288,6 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
                 payload["reconstruction"]["exact_identity"] = (
                     expand_mod.reconstruct_poly(ctx, stream, n_terms) == stream.as_polynomial()
                 )
-    except QBernError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(EXIT_DOMAIN)
     except ValueError as exc:
         raise click.UsageError("bad stream file: %s" % exc)
     params = _echo_params(ctx, terms=n_terms, input=str(input_path))

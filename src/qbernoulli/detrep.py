@@ -2,7 +2,9 @@
 
 Each degree-n member is (-1)^n times the determinant of an (n+1)x(n+1)
 matrix whose first row holds weighted powers w_j z^j and whose remaining
-rows hold q-binomially weighted moment coefficients mu.  That matrix is
+rows hold q-binomially weighted moment coefficients mu.  The weights w_j
+are those of the kind's q-exponential, :func:`qbernoulli.series.exp_weight`,
+the same ones the generating-function oracle uses.  That matrix is
 upper Hessenberg; expanding along its last column gives the recurrence
 
     B_n(z) = w_n z^n - sum_{k=1..n} [n choose k]_q mu_k B_(n-k)(z)
@@ -21,12 +23,11 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .qcore import QContext, cache_lock, context_cache, q_binomial, q_factorial, require_exact_alpha
-from .series import PolyZ, expq_reciprocal_series
+from .series import PolyZ, exp_weight, expq_reciprocal_series
 
 
 def _bareiss_det(rows) -> Fraction:
@@ -107,44 +108,18 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
     return _moments(ctx, kind, m)[m]
 
 
-def row_weight(ctx: QContext, kind: int, j: int) -> Fraction:
-    """Weight attached to z**j in the symbolic first row."""
-    if kind == 1:
-        return Fraction(1)
-    if kind == 2:
-        return ctx.q ** (j * (j - 1) // 2)
-    if kind == 3:
-        return ctx.q_pow_quarters(j * (j - 1))
-    raise ValueError("kind must be 1, 2 or 3")
+def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
+    """The representation matrix for degree n as (weights, rows).
 
-
-@dataclass(frozen=True)
-class BernoulliMatrix:
-    """(n+1)x(n+1) determinant data: symbolic first row plus scalar block.
-
-    ``weights[j]`` is the coefficient of z**j in row 0; ``scalar_rows``
-    holds rows 1..n, each of length n+1.
-    """
-
-    kind: int
-    weights: tuple
-    scalar_rows: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1
-
-
-def build_matrix(ctx: QContext, kind: int, n: int) -> BernoulliMatrix:
-    """Assemble the representation matrix for degree n.
-
-    Scalar entries are a_ij = [j choose i-1]_q mu(kind, j-i+1); entries
-    with i-1 > j vanish through the binomial convention.
+    ``weights[j]`` is the coefficient of z**j in the symbolic first row;
+    ``rows`` holds rows 1..n, each of length n+1, with scalar entries
+    a_ij = [j choose i-1]_q mu(kind, j-i+1); entries with i-1 > j vanish
+    through the binomial convention.
     """
     require_exact_alpha(ctx)
     if n < 0:
         raise ValueError("n must be >= 0")
-    weights = tuple(row_weight(ctx, kind, j) for j in range(n + 1))
+    weights = tuple(exp_weight(ctx, kind, j) for j in range(n + 1))
     rows = []
     for i in range(1, n + 1):
         rows.append(
@@ -153,7 +128,7 @@ def build_matrix(ctx: QContext, kind: int, n: int) -> BernoulliMatrix:
                 for j in range(n + 1)
             )
         )
-    return BernoulliMatrix(kind=kind, weights=weights, scalar_rows=tuple(rows))
+    return weights, tuple(rows)
 
 
 def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
@@ -165,7 +140,7 @@ def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
     polys = context_cache(ctx).polys.setdefault(kind, [PolyZ([1])])
     with cache_lock:
         for m in range(len(polys), n + 1):
-            coeffs = [Fraction(0)] * m + [row_weight(ctx, kind, m)]
+            coeffs = [Fraction(0)] * m + [exp_weight(ctx, kind, m)]
             for k in range(1, m + 1):
                 weight = q_binomial(ctx, m, k) * moments[k]
                 for j, c in enumerate(polys[m - k].coeffs):
@@ -190,7 +165,7 @@ def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
     if n == 0:
         return Fraction(1)
     z = Fraction(z)
-    matrix = build_matrix(ctx, kind, n)
-    rows = [[matrix.weights[j] * z**j for j in range(n + 1)]]
-    rows.extend(list(r) for r in matrix.scalar_rows)
+    weights, scalar_rows = build_matrix(ctx, kind, n)
+    rows = [[weights[j] * z**j for j in range(n + 1)]]
+    rows.extend(list(r) for r in scalar_rows)
     return Fraction(-1) ** n * _bareiss_det(rows)

@@ -22,10 +22,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import QBernError, QContext, q_factorial
+from .qcore import QBernError, QContext, q_factorial, q_pochhammer
 from .detrep import bernoulli_poly_det, mu
 from .qfun import to_mpf
-from .series import PolyZ
+from .series import PolyZ, exp_weight
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ def _rational(value, field: str) -> Fraction:
 
 
 def psi(ctx: QContext, n: int) -> Fraction:
-    """Comparison weight q^(n(n-1)/2) / [n]_q!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return ctx.q ** (n * (n - 1) // 2) / q_factorial(ctx, n)
+    """Comparison weight q^(n(n-1)/2) / [n]_q!, E_q's coefficient."""
+    return exp_weight(ctx, 2, n) / q_factorial(ctx, n)
 
 
 def scaled_coefficient(ctx: QContext, stream: CoefficientStream, k: int) -> Fraction:
@@ -209,12 +207,7 @@ def _tail_geometry(ctx: QContext):
                 "q is too close to 1 (1 - q^%d/(1 - q) = %.3g < 1/2 after %d factors)"
                 % (q, m + 1, 1 - tail / (1 - q), m)
             )
-    qq = Fraction(1)
-    p = q
-    for _ in range(m):
-        qq *= 1 - p
-        p *= q
-    return d, sigma, qq * (1 - tail / (1 - q))
+    return d, sigma, q_pochhammer(q, q, m) * (1 - tail / (1 - q))
 
 
 def l_truncation_bound(ctx: QContext, stream: CoefficientStream, n: int) -> Fraction:
@@ -253,14 +246,18 @@ def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fra
         raise ValueError("N must be >= 0")
     for n in range(N + 1):
         l_truncation_bound(ctx, stream, n)  # raises when not certifiable
-    M = stream.last_index
+    return _l_sums(ctx, stream, N, lambda j: mu(ctx, 2, j) / q_factorial(ctx, j))
+
+
+def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weight) -> list[Fraction]:
+    """L_n = sum_{k=n..M} g_k weight(k-n) for n = 0..N, over the stream."""
+    g = [scaled_coefficient(ctx, stream, k) for k in range(stream.last_index + 1)]
     out = []
     for n in range(N + 1):
         total = Fraction(0)
-        for k in range(n, M + 1):
-            g = scaled_coefficient(ctx, stream, k)
-            if g:
-                total += g * mu(ctx, 2, k - n) / q_factorial(ctx, k - n)
+        for k in range(n, len(g)):
+            if g[k]:
+                total += g[k] * weight(k - n)
         out.append(total)
     return out
 
@@ -293,25 +290,6 @@ def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:
         return +total
 
 
-def _l_by_weights(ctx, stream, N, weight):
-    """(o8)-shaped sum with a custom simplified weight W_j standing in for
-    mu_j / (q;q)_j."""
-    q = ctx.q
-    M = stream.last_index
-    out = []
-    for n in range(N + 1):
-        total = Fraction(0)
-        for k in range(n, M + 1):
-            f = stream.coefficients[k]
-            if not f:
-                continue
-            j = k - n
-            qq_k = q_factorial(ctx, k) * (1 - q) ** k
-            total += f * q ** Fraction(-k * (k - 1), 2) * qq_k * weight(j)
-        out.append(total * Fraction(1 - q) ** (-n))
-    return out
-
-
 def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N: int) -> list[Fraction]:
     """The alpha = +-1/2 specializations through their simplified weights.
 
@@ -328,27 +306,13 @@ def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N
             % stream.tail_kind
         )
     q = ctx.q
-
     if variant == "bernoulli":
         def weight(j):
-            num = Fraction(1)
-            den = Fraction(1)
-            for i in range(j):
-                num *= 1 + q ** (1 + i)
-                den *= 1 - q ** (2 + i)
-            return Fraction(1, 2**j) * num / den
+            return q_pochhammer(-q, q, j) / (2**j * q_pochhammer(q**2, q, j))
     elif variant == "euler":
-        def weight(j):
-            if j == 0:
-                return Fraction(1)
-            num = Fraction(1)
-            den = Fraction(1)
-            for i in range(j - 1):
-                num *= 1 + q ** (1 + i)
-            for i in range(j):
-                den *= 1 - q ** (1 + i)
-            return Fraction(1, 2**j) * num / den
+        def weight(j):  # the j = 0 weight is 1
+            return q_pochhammer(-q, q, max(j - 1, 0)) / (2**j * q_pochhammer(q, q, j))
     else:
         raise ValueError("variant must be 'bernoulli' or 'euler'")
-
-    return _l_by_weights(ctx, stream, N, weight)
+    # the weights stand in for mu_j / (q;q)_j, and [j]_q! = (q;q)_j / (1-q)^j
+    return _l_sums(ctx, stream, N, lambda j: (1 - q) ** j * weight(j))

@@ -234,7 +234,7 @@ def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     return q_factorial(ctx, n) / (q_factorial(ctx, k) * q_factorial(ctx, n - k))
 
 
-def q_pochhammer(ctx: QContext, a, base, n: int) -> Fraction:
+def q_pochhammer(a, base, n: int) -> Fraction:
     """Shifted factorial (a; base)_n = prod_{m=0}^{n-1} (1 - a*base**m)."""
     if n < 0:
         raise ValueError("n must be >= 0")

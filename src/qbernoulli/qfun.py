@@ -3,6 +3,10 @@ their trigonometric pairs, the Jackson q-Bessel functions, terminating and
 truncated basic hypergeometric sums, and the reciprocal coefficients of
 exp_q.
 
+The three q-exponentials differ only in their weights, 1, q^(n(n-1)/2)
+and q^(n(n-1)/4), so one rule (:func:`_weight`) steps all three and the
+trigonometric pairs carved out of them.
+
 Floating results are mpmath values computed at the context precision with
 a certified truncation: each series is summed until an explicit term-ratio
 bound shows the tail (plus accumulated rounding slack) is below the target.
@@ -79,56 +83,54 @@ def rounded_to_context(ctx: QContext, value) -> mpf:
 # q-exponentials
 
 
-def eval_eq(ctx: QContext, z) -> mpf:
-    """e_q(z) = sum z^n (1-q)^n / (q;q)_n, valid for |z| < 1/(1-q)."""
+def _weight(family: int, q: mpf):
+    """e -> 1, q**e or sqrt(q)**e: the one weight rule of the three families.
+
+    The exponential weights w_n (1, q^(n(n-1)/2), q^(n(n-1)/4)) step as
+    w_(n+1) = weight(n) w_n, and the trig pairs, two terms at a time, as
+    w_(n+2) = weight(2n+1) w_n.
+    """
+    if family == 1:
+        return lambda e: mpf(1)
+    if family == 2:
+        return lambda e: q**e
+    sq = mpmath.sqrt(q)
+    return lambda e: sq**e
+
+
+def _exponential(ctx: QContext, family: int, z) -> mpf:
+    """The family's q-exponential at z (e_q, E_q, exp_q for 1, 2, 3)."""
     ctx.require_numeric()
     wp = _workprec(ctx)
     with mp.workprec(wp):
         q = to_mpf(ctx.q)
         z = to_mpf(z)
-        if abs(z) * (1 - q) >= 1:
+        if family == 1 and abs(z) * (1 - q) >= 1:
             raise DomainError("e_q is defined only for |z| < 1/(1-q)")
         x = z * (1 - q)
+        weight = _weight(family, q)
 
         def step(n, term):
-            nxt = term * x / (1 - q ** (n + 1))
-            return nxt, abs(x) / (1 - q ** (n + 1))
+            w, d = weight(n), 1 - q ** (n + 1)
+            return term * w * x / d, abs(x) * w / d
 
         value, _ = certified_sum(mpf(1), step, wp)
     return rounded_to_context(ctx, value)
+
+
+def eval_eq(ctx: QContext, z) -> mpf:
+    """e_q(z) = sum z^n (1-q)^n / (q;q)_n, valid for |z| < 1/(1-q)."""
+    return _exponential(ctx, 1, z)
 
 
 def eval_Eq(ctx: QContext, z) -> mpf:
     """E_q(z) = sum q^(n(n-1)/2) z^n (1-q)^n / (q;q)_n; entire."""
-    ctx.require_numeric()
-    wp = _workprec(ctx)
-    with mp.workprec(wp):
-        q = to_mpf(ctx.q)
-        x = to_mpf(z) * (1 - q)
-
-        def step(n, term):
-            nxt = term * q**n * x / (1 - q ** (n + 1))
-            return nxt, abs(x) * q**n / (1 - q ** (n + 1))
-
-        value, _ = certified_sum(mpf(1), step, wp)
-    return rounded_to_context(ctx, value)
+    return _exponential(ctx, 2, z)
 
 
 def eval_expq(ctx: QContext, z) -> mpf:
     """exp_q(z) = sum q^(n(n-1)/4) z^n (1-q)^n / (q;q)_n; entire."""
-    ctx.require_numeric()
-    wp = _workprec(ctx)
-    with mp.workprec(wp):
-        q = to_mpf(ctx.q)
-        sq = mpmath.sqrt(q)
-        x = to_mpf(z) * (1 - q)
-
-        def step(n, term):
-            nxt = term * sq**n * x / (1 - q ** (n + 1))
-            return nxt, abs(x) * sq**n / (1 - q ** (n + 1))
-
-        value, _ = certified_sum(mpf(1), step, wp)
-    return rounded_to_context(ctx, value)
+    return _exponential(ctx, 3, z)
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +176,14 @@ def qtrig_certified(ctx: QContext, kind: QTrigKind, z, precision=None):
         if family == 1 and abs(z) * (1 - q) >= 1:
             raise DomainError("sin_q/cos_q are defined only for |z| < 1/(1-q)")
         x = z * (1 - q)
-        # u(n+2)/u(n) for the exponential weight u: 1, q^(2n+1), q^((2n+1)/2)
-        if family == 1:
-            weight_step = lambda n: mpf(1)
-        elif family == 2:
-            weight_step = lambda n: q ** (2 * n + 1)
-        else:
-            sq = mpmath.sqrt(q)
-            weight_step = lambda n: sq ** (2 * n + 1)
+        weight = _weight(family, q)
         first = x**parity
         for k in range(1, parity + 1):
             first /= 1 - q**k
 
         def step(m, term):
             n_cur = 2 * m + parity
-            f = weight_step(n_cur) * x * x / ((1 - q ** (n_cur + 1)) * (1 - q ** (n_cur + 2)))
+            f = weight(2 * n_cur + 1) * x * x / ((1 - q ** (n_cur + 1)) * (1 - q ** (n_cur + 2)))
             return -term * f, f
 
         return certified_sum(first, step, wp)

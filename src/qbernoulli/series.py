@@ -27,6 +27,7 @@ from .qcore import (
     QBernError,
     QContext,
     q_factorial,
+    q_pochhammer,
     require_exact_alpha,
 )
 
@@ -223,15 +224,6 @@ def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
     return series_reciprocal(exponential_series(ctx, 3, N, 1))
 
 
-def _paired_pochhammer(ctx: QContext, n: int) -> Fraction:
-    """(q^2; q^2)_n (q^(2a+2); q^2)_n, via exact quarter-powers of q."""
-    a = ctx.alpha
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= (1 - ctx.q**j * ctx.q**j) * (1 - ctx.q_pow(2 * a + 2 * j))
-    return out
-
-
 def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     """Even scalar series g_alpha^(kind)(i*t; q) to order N.
 
@@ -245,8 +237,11 @@ def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[0] = Fraction(1)
     half = Fraction(1, 2) * (1 - ctx.q)
+    q2 = ctx.q**2
     for n in range(1, N // 2 + 1):
-        term = half ** (2 * n) / _paired_pochhammer(ctx, n)
+        term = half ** (2 * n) / (
+            q_pochhammer(q2, q2, n) * q_pochhammer(ctx.q_pow(2 * ctx.alpha + 2), q2, n)
+        )
         if kind == 2:
             term *= ctx.q_pow(2 * n * ctx.alpha + 2 * n * n)
         elif kind == 3:

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qbernoulli import PolyZ, QContext, bernoulli_poly_det
 from qbernoulli.cli import main
@@ -221,3 +224,82 @@ class TestGoldenFiles:
         ]
         first = run(*args)
         assert first.stdout == (DATA / "golden_poly_k1_b12.csv").read_text()
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1)
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+JUNK = st.sampled_from(["0", "1", "-1", "3/2", "1/0", "0.5", "x", "", "1/3"])
+# stream documents: well-formed, with a wrong field, or not JSON at all
+STREAM = st.one_of(
+    st.fixed_dictionaries(
+        {"coefficients": st.lists(SMALL.map(str), max_size=8)},
+        optional={
+            "tail": st.one_of(st.just("finite"), st.builds(lambda r: {"geometric": str(r)}, SMALL))
+        },
+    ).map(json.dumps),
+    st.fixed_dictionaries(
+        {"coefficients": st.one_of(st.lists(st.one_of(JUNK, st.none(), st.floats(-1, 1)), max_size=4), JUNK)},
+        optional={"tail": st.one_of(JUNK, st.builds(lambda r: {"geometric": r}, JUNK))},
+    ).map(json.dumps),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-formed argv for one of the five subcommands (n <= 6,
+    precision <= 256), or that argv with one option dropped, one value
+    replaced by junk, or an unknown option added."""
+    command = draw(st.sampled_from(["poly", "numbers", "zeros", "asympt", "expand"]))
+    if draw(st.booleans()):
+        base = ["--q-quarter", str(draw(UNIT))]
+    else:
+        base = ["--q", str(draw(UNIT))]
+    alpha = draw(st.one_of(st.integers(-3, 8).map(lambda k: Fraction(k, 4)), SMALL))
+    options = [base, ["--alpha", str(alpha)], ["--precision", str(draw(st.integers(8, 256)))]]
+    kinds = st.integers(1, 3) if command in ("poly", "numbers") else st.integers(2, 3)
+    if command == "expand":
+        options += [["--input", "STREAM"], ["--terms", str(draw(st.integers(0, 6)))]]
+        if draw(st.booleans()):
+            options.append(["--at", str(draw(SMALL))])
+    else:
+        options.append(["--kind", str(draw(kinds))])
+        options.append(["--format", draw(st.sampled_from(["json", "csv"]))])
+    if command in ("poly", "numbers"):
+        options.append(["--n", str(draw(st.integers(0, 6)))])
+        options.append(["--via", draw(st.sampled_from(["det", "oracle", "both"]))])
+    if command == "asympt":
+        options += [["--n-max", str(draw(st.integers(1, 6)))], ["--z", str(draw(SMALL))]]
+    fault = draw(st.sampled_from(["none", "none", "none", "drop", "junk", "unknown"]))
+    if fault == "drop":
+        del options[draw(st.integers(0, len(options) - 1))]
+    elif fault == "junk":
+        options[draw(st.integers(0, len(options) - 1))][1] = draw(JUNK)
+    elif fault == "unknown":
+        options.append(["--bogus"])
+    return [command] + [item for option in options for item in option]
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams")
+
+
+class TestExitCodeContract:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(argv=cli_argv(), stream=STREAM)
+    def test_any_argv_exits_cleanly(self, stream_dir, argv, stream):
+        path = stream_dir / "stream.json"
+        path.write_text(stream, encoding="utf-8")
+        argv = [str(path) if a == "STREAM" else a for a in argv]
+        result = run(*argv)
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if result.exit_code != 0:
+            return
+        if "csv" in argv or (argv[0] == "asympt" and "json" not in argv):
+            rows = list(csv.reader(io.StringIO(result.stdout)))
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+        else:
+            assert json.loads(result.stdout)["command"] == argv[0]

@@ -91,29 +91,29 @@ class TestMu:
 
 class TestBuildMatrix:
     def test_n1_kind1(self):
-        matrix = build_matrix(ctx_q("1/4"), 1, 1)
-        assert matrix.weights == (1, 1)
-        assert matrix.scalar_rows == ((Fraction(1), Fraction(1, 2)),)
+        weights, rows = build_matrix(ctx_q("1/4"), 1, 1)
+        assert weights == (1, 1)
+        assert rows == ((Fraction(1), Fraction(1, 2)),)
 
     def test_n1_kind2_weights(self):
-        matrix = build_matrix(ctx_q("1/4"), 2, 1)
-        assert matrix.weights == (1, 1)  # q^0 for both columns
-        assert matrix.scalar_rows == ((Fraction(1), Fraction(1, 2)),)
+        weights, rows = build_matrix(ctx_q("1/4"), 2, 1)
+        assert weights == (1, 1)  # q^0 for both columns
+        assert rows == ((Fraction(1), Fraction(1, 2)),)
 
     def test_last_entry_closed_form(self):
         # a_{n,n} = [n choose n-1]_q mu_1 = [n]_q / 2
         ctx = ctx_q("1/4")
         for kind in (1, 2, 3):
             for n in (2, 4, 7):
-                matrix = build_matrix(ctx, kind, n)
-                assert matrix.scalar_rows[n - 1][n] == q_int(ctx, n) / 2
+                _, rows = build_matrix(ctx, kind, n)
+                assert rows[n - 1][n] == q_int(ctx, n) / 2
 
     def test_below_band_zeros(self):
-        matrix = build_matrix(ctx_q("1/4"), 1, 4)
+        _, rows = build_matrix(ctx_q("1/4"), 1, 4)
         for i in range(1, 5):
             for j in range(4 + 1):
                 if j - i + 1 < 0:
-                    assert matrix.scalar_rows[i - 1][j] == 0
+                    assert rows[i - 1][j] == 0
 
 
 class TestPolynomials:

@@ -23,8 +23,9 @@ from qbernoulli.qfun import (
     modified_bessel_certified,
     modified_bessel_derivative_certified,
     qpochhammer_infinite,
+    to_mpf,
 )
-from qbernoulli.series import expq_reciprocal_series
+from qbernoulli.series import exponential_series, expq_reciprocal_series
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
 
@@ -57,6 +58,25 @@ class TestQExponentials:
         ctx = ctx_q("1/2")
         with pytest.raises(DomainError):
             eval_eq(ctx, 3)  # 1/(1-q) = 2
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize(
+        "kind, evaluate, q", [(1, eval_eq, "1/2"), (2, eval_Eq, "1/2"), (3, eval_expq, "1/4")]
+    )
+    def test_matches_exact_partial_sum(self, kind, evaluate, q, bits):
+        # the exponential at z is the exact series in t at scale z, read at t = 1
+        ctx = ctx_q(q, bits=bits)
+        N = bits if kind == 1 else 40
+        for z in (Fraction(1, 3), Fraction(-5, 7), Fraction(3)):
+            if kind == 1 and abs(z) * (1 - ctx.q) >= 1:
+                continue
+            coeffs = exponential_series(ctx, kind, N, z).coeffs
+            # from n = 3 on every term ratio is below 1/2, so the dropped
+            # tail is below the last term kept
+            assert abs(coeffs[-1]) < Fraction(1, 2 ** (bits + 16))
+            with mp.workprec(bits + 64):
+                exact = to_mpf(sum(coeffs))
+                assert abs(evaluate(ctx, z) - exact) < mpf(2) ** -(bits - 8) * max(1, abs(exact))
 
 
 class TestQTrig:
