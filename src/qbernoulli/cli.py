@@ -21,7 +21,7 @@ from . import asympt as asympt_mod
 from . import expand as expand_mod
 from .detrep import bernoulli_number, bernoulli_poly_det
 from .qcore import QBernError, QContext
-from .series import oracle_bernoulli
+from .series import _oracle_table
 
 EXIT_DOMAIN = 3
 
@@ -111,19 +111,18 @@ class _Main(click.Group):
             ctx.exit(EXIT_DOMAIN)
 
 
-def _table(n_max: int, via: str, det, oracle) -> list[dict]:
-    """Rows n = 0..n_max holding det(n), oracle(n), or both and whether
-    they match."""
-    rows = []
-    for n in range(n_max + 1):
-        row = {"n": n}
-        if via in ("det", "both"):
-            row["det"] = det(n)
-        if via in ("oracle", "both"):
-            row["oracle"] = oracle(n)
-        if via == "both":
-            row["match"] = row["det"] == row["oracle"]
-        rows.append(row)
+def _table(n_max: int, via: str, det, oracle_table) -> list[dict]:
+    """Rows n = 0..n_max: det(n), the oracle table's entry n, or both and whether they
+    match.  det runs first, so its error is the one reported if both routes fail."""
+    rows = [{"n": n} for n in range(n_max + 1)]
+    if via in ("det", "both"):
+        for row in rows:
+            row["det"] = det(row["n"])
+    if via in ("oracle", "both"):
+        for row, value in zip(rows, oracle_table()):
+            row["oracle"] = value
+            if via == "both":
+                row["match"] = row["det"] == value
     return rows
 
 
@@ -141,12 +140,8 @@ def main():
 def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Polynomial coefficient tables for degrees 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    rows = _table(
-        n_max,
-        via,
-        lambda n: bernoulli_poly_det(ctx, kind, n).to_strings(),
-        lambda n: oracle_bernoulli(ctx, kind, n).to_strings(),
-    )
+    rows = _table(n_max, via, lambda n: bernoulli_poly_det(ctx, kind, n).to_strings(),
+                  lambda: [p.to_strings() for p in _oracle_table(ctx, kind, n_max)])
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("poly", params, rows, fmt))
@@ -171,12 +166,8 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
 def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Number tables (the polynomials at z = 0) for indices 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
-    rows = _table(
-        n_max,
-        via,
-        lambda n: str(bernoulli_number(ctx, kind, n)),
-        lambda n: str(oracle_bernoulli(ctx, kind, n).coefficient(0)),
-    )
+    rows = _table(n_max, via, lambda n: str(bernoulli_number(ctx, kind, n)),
+                  lambda: [str(p.coefficient(0)) for p in _oracle_table(ctx, kind, n_max)])
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("numbers", params, rows, fmt))
@@ -272,7 +263,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
         ls = expand_mod.l_coefficients(ctx, stream, n_terms)
         payload = {"l_coefficients": [str(v) for v in ls]}
         if stream.tail_kind == "geometric":
-            bound = max(expand_mod.l_truncation_bound(ctx, stream, n) for n in range(n_terms + 1))
+            bound = max(expand_mod.l_truncation_bounds(ctx, stream, range(n_terms + 1)))
             with mpmath.mp.workprec(precision):
                 payload["truncation_bound"] = _fmt_float(
                     mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator), precision

@@ -1,18 +1,19 @@
 """Determinant representations of the three polynomial families.
 
 Each degree-n member is (-1)^n times the determinant of an (n+1)x(n+1)
-matrix whose first row holds weighted powers w_j z^j and whose remaining
-rows hold q-binomially weighted moment coefficients mu.  The weights w_j
-are those of the kind's q-exponential, :func:`qbernoulli.series.exp_weight`,
-the same ones the generating-function oracle uses.  That matrix is
-upper Hessenberg; expanding along its last column gives the recurrence
-
-    B_n(z) = w_n z^n - sum_{k=1..n} [n choose k]_q mu_k B_(n-k)(z)
-
-(Costabile & Longo 2010), the production route: one cached table B_0..B_N
-per context and kind, extended on demand.  The determinant itself, by
-fraction-free Bareiss elimination, is kept as the reference the tests
-compare against (:func:`bernoulli_poly_value`).
+matrix whose first row holds weighted powers w_j z^j (the weights of the
+kind's q-exponential, :func:`qbernoulli.series.exp_weight`) and whose
+remaining rows hold q-binomially weighted moment coefficients mu.  That
+matrix is upper Hessenberg, and so is the one of the numbers
+beta_n = B_n(0): its last column gives beta_n = -sum_{k=1..n}
+[n choose k]_q mu_k beta_(n-k), and every coefficient is a read-off,
+[z^i] B_n = [n choose i]_q w_i beta_(n-i) (Costabile & Longo 2010;
+Al-Salam 1967).  Production caches, per context and kind, only the
+normalised moments mu_k / [k]_q! and numbers b_n = beta_n / [n]_q! (b is
+the reciprocal of the moment series), reads polynomials off them on
+demand, and never reads the generating function.  The determinant
+itself, by fraction-free Bareiss elimination, is the tests' reference
+(:func:`bernoulli_poly_value`).
 
 The moment ratio (q^(2a+1); q^2)_m / (q^(2a+1); q)_m shares its m=0
 factor (1 - q^(2a+1)) between numerator and denominator, and is stored
@@ -26,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qcore import QContext, cache_lock, context_cache, q_binomial, q_factorial, require_exact_alpha
-from .series import PolyZ, exp_weight, expq_reciprocal_series
+from .qcore import QContext, cache_lock, context_cache, q_binomial, q_factorial, q_int, require_exact_alpha
+from .series import PolyZ, appell_poly, exp_weight, exponential_series
 
 
 def _bareiss_det(rows) -> Fraction:
@@ -62,7 +63,8 @@ def _bareiss_det(rows) -> Fraction:
 
 
 def _moments(ctx: QContext, kind: int, m: int) -> list:
-    """The cached moments mu_0..mu_m (at least) of this context and kind."""
+    """The cached normalised moments mu_k / [k]_q!, k = 0..m (at least), of
+    this context and kind."""
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
     moments = context_cache(ctx).moments.setdefault(kind, [Fraction(1)])
@@ -76,17 +78,17 @@ def _moments(ctx: QContext, kind: int, m: int) -> list:
                 ratio = Fraction(1, 2)
                 if j > 1:
                     ratio *= (1 - ctx.q_pow(2 * a + 2 * j - 1)) / (1 - ctx.q_pow(2 * a + j))
-                moments.append(moments[-1] * ratio)
+                moments.append(moments[-1] * ratio / q_int(ctx, j))
             return moments
-        c = expq_reciprocal_series(ctx, m).coeffs
+        h = exponential_series(ctx, 3, m, Fraction(-1, 2)).coeffs
         # weights[k] = q^(k(k+1/2)) (1-q)^(2k) / ((q^2;q^2)_k (q^(2a+2);q^2)_k)
         weights = [Fraction(1)]
         for k in range(1, m // 2 + 1):
             pair = (1 - ctx.q ** (2 * k)) * (1 - ctx.q_pow(2 * a + 2 * k))
             weights.append(weights[-1] * ctx.q_pow_quarters(8 * k - 2) * (1 - ctx.q) ** 2 / pair)
         for j in range(len(moments), m + 1):
-            total = sum(weights[k] * c[j - 2 * k] for k in range(j // 2 + 1))
-            moments.append(Fraction(-1) ** j * q_factorial(ctx, j) / 2**j * total)
+            even = weights[j // 2] / 2**j if j % 2 == 0 else 0
+            moments.append(even - sum(h[i] * moments[j - i] for i in range(1, j + 1)))
         return moments
 
 
@@ -96,16 +98,16 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
     Kinds 1 and 2 share
         mu_m = 2^-m prod_{j=1}^{m-1} (1 - q^(2a+1+2j)) / (1 - q^(2a+1+j)),
     the cancelled form of (q^(2a+1);q^2)_m / (2^m (q^(2a+1);q)_m).  Kind 3
-    combines the reciprocal exp_q coefficients with the even q-Bessel
+    combines the reciprocal exp_q coefficients c with the even q-Bessel
     series:
         mu_m = (-1)^m [m]_q! 2^-m sum_k q^(k(k+1/2)) (1-q)^(2k) c_(m-2k)
-               / ((q^2;q^2)_k (q^(2a+2);q^2)_k).
-    mu_0 = 1 for every kind.
+               / ((q^2;q^2)_k (q^(2a+2);q^2)_k),
+    found by dividing that series at t/2 by exp_q(-t/2).  mu_0 = 1 for every kind.
     """
     require_exact_alpha(ctx)
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _moments(ctx, kind, m)[m]
+    return q_factorial(ctx, m) * _moments(ctx, kind, m)[m]
 
 
 def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
@@ -131,34 +133,35 @@ def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
     return weights, tuple(rows)
 
 
-def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
-    """Degree-n family member: the determinant representation, evaluated
-    through its last-column expansion from the cached table B_0..B_(n-1)."""
+def _numbers(ctx: QContext, kind: int, n: int) -> list:
+    """The cached normalised numbers b_0..b_n (at least): b_0 = 1 and
+    b_m = -sum_{k=1..m} mu_k / [k]_q! * b_(m-k)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     moments = _moments(ctx, kind, n)
-    polys = context_cache(ctx).polys.setdefault(kind, [PolyZ([1])])
+    numbers = context_cache(ctx).numbers.setdefault(kind, [Fraction(1)])
     with cache_lock:
-        for m in range(len(polys), n + 1):
-            coeffs = [Fraction(0)] * m + [exp_weight(ctx, kind, m)]
-            for k in range(1, m + 1):
-                weight = q_binomial(ctx, m, k) * moments[k]
-                for j, c in enumerate(polys[m - k].coeffs):
-                    coeffs[j] -= weight * c
-            polys.append(PolyZ(coeffs))
-    return polys[n]
+        for m in range(len(numbers), n + 1):
+            numbers.append(-sum(moments[k] * numbers[m - k] for k in range(1, m + 1)))
+    return numbers
+
+
+def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
+    """Degree-n family member: the determinant representation, read off
+    the cached numbers as [n]_q!/[i]_q! w_i b_(n-i)."""
+    return appell_poly(ctx, kind, n, _numbers(ctx, kind, n))
 
 
 def bernoulli_number(ctx: QContext, kind: int, n: int) -> Fraction:
-    """Value at z = 0: the constant term of bernoulli_poly_det."""
-    return bernoulli_poly_det(ctx, kind, n).coefficient(0)
+    """Value at z = 0, [n]_q! b_n; no polynomial is formed."""
+    return q_factorial(ctx, n) * _numbers(ctx, kind, n)[n]
 
 
 def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
     """Exact value at rational z: (-1)^n times the paper's full
     (n+1)x(n+1) determinant with z substituted into the symbolic row.
 
-    This is the reference the recurrence table of bernoulli_poly_det is
+    This is the reference the read-off of bernoulli_poly_det is
     tested against; it agrees with bernoulli_poly_det(...)(z) and, at
     z = 0, with bernoulli_number.
     """

@@ -216,36 +216,43 @@ def l_truncation_bound(ctx: QContext, stream: CoefficientStream, n: int) -> Frac
     Zero for finite streams; geometric streams combine the declared decay
     of g_k with the geometric envelope of mu_j / [j]_q!.
     """
+    return l_truncation_bounds(ctx, stream, (n,))[0]
+
+
+def l_truncation_bounds(ctx: QContext, stream: CoefficientStream, degrees) -> list[Fraction]:
+    """l_truncation_bound for each n in degrees, raising what the first
+    failing n would raise; the geometry and |g_M| are formed once."""
     if stream.tail_kind == "finite":
-        return Fraction(0)
-    M = stream.last_index
-    if n > M:
-        raise QBernError(
-            "cannot truncate: n = %d is past the stream's last index M = %d" % (n, M)
-        )
-    d, sigma, qq_lower = _tail_geometry(ctx)
-    rho = stream.tail_ratio
-    if rho * sigma >= 1:
-        raise QBernError(
-            "cannot truncate: the tail ratio rho = %s times the moment envelope "
-            "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
-        )
-    g_M = abs(scaled_coefficient(ctx, stream, M))
-    return g_M * d / qq_lower * sigma ** (M - n) * (rho * sigma) / (1 - rho * sigma)
+        return [Fraction(0) for _ in degrees]
+    M, out = stream.last_index, []
+    for n in degrees:
+        if n > M:
+            raise QBernError("cannot truncate: n = %d is past the stream's last index M = %d" % (n, M))
+        if not out:
+            d, sigma, qq_lower = _tail_geometry(ctx)
+            rho = stream.tail_ratio
+            if rho * sigma >= 1:
+                raise QBernError(
+                    "cannot truncate: the tail ratio rho = %s times the moment envelope "
+                    "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
+                )
+            g_M = abs(scaled_coefficient(ctx, stream, M))
+            scale = g_M * d / qq_lower * (rho * sigma) / (1 - rho * sigma)
+        out.append(scale * sigma ** (M - n))
+    return out
 
 
 def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fraction]:
     """L_0..L_N as exact partial sums over the stream.
 
     Exact for finite streams.  For geometric streams the dropped tail is
-    certified first (l_truncation_bound raises "cannot truncate" when the
+    certified first (l_truncation_bounds raises "cannot truncate" when the
     declared decay cannot beat the moment envelope), and the returned
     rationals carry that certified error.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    for n in range(N + 1):
-        l_truncation_bound(ctx, stream, n)  # raises when not certifiable
+    l_truncation_bounds(ctx, stream, range(N + 1))  # raises when not certifiable
     return _l_sums(ctx, stream, N, lambda j: mu(ctx, 2, j) / q_factorial(ctx, j))
 
 

@@ -13,9 +13,10 @@ evaluation.  Exact operations that need a q-root the context cannot
 represent raise :class:`ExactModeError`; nothing is ever silently
 approximated on the exact paths.
 
-Contexts are immutable and every function here is pure, so values can be
-shared freely across threads.  Results worth keeping live in one cache
-keyed on the context, bounded to the CACHED_CONTEXTS most recently used.
+Contexts are immutable and every function here is pure, so exact values
+can be shared freely across threads (the mpmath numerics still set the
+process-wide precision).  Results worth keeping live in one cache keyed
+on the context, bounded to the CACHED_CONTEXTS most recently used.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ _contexts: dict = {}  # least recently used first
 
 @dataclass
 class ContextCache:
-    """Everything memoised for one context; the lists are append-only."""
+    """Everything memoised for one context, in append-only lists: O(N) per kind to degree N."""
 
     factorials: list = field(default_factory=lambda: [Fraction(1)])
     moments: dict = field(default_factory=dict)  # kind -> [mu_0, mu_1, ...]
-    polys: dict = field(default_factory=dict)  # kind -> [B_0, B_1, ...]
+    numbers: dict = field(default_factory=dict)  # kind -> [b_0, b_1, ...], b_n = B_n(0)/[n]_q!
     zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult
     frames: dict = field(default_factory=dict)  # (kind, precision) -> asympt._Frame
 
@@ -214,15 +215,20 @@ def q_int(ctx: QContext, n: int) -> Fraction:
     return (1 - ctx.q**n) / (1 - ctx.q)
 
 
-def q_factorial(ctx: QContext, n: int) -> Fraction:
-    """Product of q_int(1..n); q_factorial(0) = 1."""
+def q_factorials(ctx: QContext, n: int) -> list:
+    """The cached list [0]_q!, [1]_q!, ..., at least up to [n]_q!."""
     if n < 0:
         raise ValueError("n must be >= 0")
     facts = context_cache(ctx).factorials
     with cache_lock:
         for m in range(len(facts), n + 1):
             facts.append(facts[-1] * q_int(ctx, m))
-    return facts[n]
+    return facts
+
+
+def q_factorial(ctx: QContext, n: int) -> Fraction:
+    """Product of q_int(1..n); q_factorial(0) = 1."""
+    return q_factorials(ctx, n)[n]
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:

@@ -3,33 +3,26 @@ generating-function oracle for the three polynomial families.
 
 Each family's generating function is e(zt) h(t) / g(t): e is the kind's
 q-exponential, h the same exponential at -t/2 and g the even q-Bessel
-series.  The family is therefore q-Appell, and the oracle reads the
-t**n coefficient off e(zt) times the scalar series s = h/g: the z**i
-coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i), with
-w_i the exponential's weight.  Only scalar series are multiplied, and
-only the coefficient asked for is formed.  The oracle uses no moments
-and no recurrence, so it stays independent of the determinant
-construction in :mod:`qbernoulli.detrep` and the two can be compared
-coefficient-for-coefficient.  :func:`gf_numerator` builds the
-polynomial-coefficient numerator e(zt) h(t) in full; the tests divide
-it by g as the reference for that read-off.
+series.  The family is therefore q-Appell: given its scalar series s, the
+z**i coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i),
+with w_i the exponential's weight (:func:`appell_poly`).  The oracle
+takes s = h/g, dividing by the even coefficients of g alone; one division
+to order N serves every degree 0..N (:func:`_oracle_table`).  It uses no
+moments, no recurrence and no q-binomials, so it stays independent of
+:mod:`qbernoulli.detrep`, which takes s from the moments.
+:func:`gf_numerator` builds the numerator e(zt) h(t) in full; the tests
+divide it by g as the reference for the read-off.
 
 Series here are formal: truncation order is the only contract, and the
-convergence radii of the underlying functions are not enforced (they
-matter only for numeric evaluation, which lives elsewhere).
+convergence radii are not enforced (they matter only for numeric
+evaluation, which lives elsewhere).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import (
-    QBernError,
-    QContext,
-    q_factorial,
-    q_pochhammer,
-    require_exact_alpha,
-)
+from .qcore import QBernError, QContext, q_factorials, require_exact_alpha
 
 
 class PolyZ:
@@ -163,13 +156,10 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
     if a.order != b.order:
         raise ValueError("series orders differ: %d vs %d" % (a.order, b.order))
-    out = []
-    for m in range(a.order + 1):
-        acc = a.coeffs[0] * b.coeffs[m]
-        for i in range(1, m + 1):
-            acc = acc + a.coeffs[i] * b.coeffs[m - i]
-        out.append(acc)
-    return TruncatedSeries(out)
+    return TruncatedSeries(
+        [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(1, m + 1)), a.coeffs[0] * b.coeffs[m])
+         for m in range(a.order + 1)]
+    )
 
 
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
@@ -180,10 +170,8 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     inv0 = Fraction(1) / c0
     out = [inv0]
     for m in range(1, a.order + 1):
-        acc = a.coeffs[1] * out[m - 1]
-        for k in range(2, m + 1):
-            acc = acc + a.coeffs[k] * out[m - k]
-        out.append(-inv0 * acc)
+        terms = (a.coeffs[k] * out[m - k] for k in range(2, m + 1))
+        out.append(-inv0 * sum(terms, a.coeffs[1] * out[m - 1]))
     return TruncatedSeries(out)
 
 
@@ -209,9 +197,8 @@ def exponential_series(ctx: QContext, kind: int, N: int, scale) -> TruncatedSeri
     Coefficient of t**m is exp_weight(kind, m) * scale**m / [m]_q!.
     """
     scale = Fraction(scale)
-    return TruncatedSeries(
-        [exp_weight(ctx, kind, m) * scale**m / q_factorial(ctx, m) for m in range(N + 1)]
-    )
+    facts = q_factorials(ctx, N)
+    return TruncatedSeries([exp_weight(ctx, kind, m) * scale**m / facts[m] for m in range(N + 1)])
 
 
 def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
@@ -235,13 +222,13 @@ def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
     coeffs = [Fraction(0)] * (N + 1)
-    coeffs[0] = Fraction(1)
+    coeffs[0] = pochhammers = Fraction(1)
     half = Fraction(1, 2) * (1 - ctx.q)
     q2 = ctx.q**2
     for n in range(1, N // 2 + 1):
-        term = half ** (2 * n) / (
-            q_pochhammer(q2, q2, n) * q_pochhammer(ctx.q_pow(2 * ctx.alpha + 2), q2, n)
-        )
+        # one more factor of each: (q^2;q^2)_n and (q^(2a+2);q^2)_n
+        pochhammers *= (1 - q2**n) * (1 - ctx.q_pow(2 * ctx.alpha + 2 * n))
+        term = half ** (2 * n) / pochhammers
         if kind == 2:
             term *= ctx.q_pow(2 * n * ctx.alpha + 2 * n * n)
         elif kind == 3:
@@ -260,32 +247,37 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     """
     require_exact_alpha(ctx)
     at_z = TruncatedSeries(
-        [
-            PolyZ.monomial(m, exp_weight(ctx, kind, m) / q_factorial(ctx, m))
-            for m in range(N + 1)
-        ]
+        [PolyZ.monomial(m, c) for m, c in enumerate(exponential_series(ctx, kind, N, 1).coeffs)]
     )
     at_half = exponential_series(ctx, kind, N, Fraction(-1, 2))
     lifted = TruncatedSeries([PolyZ([c]) for c in at_half.coeffs])
     return series_mul(at_z, lifted)
 
 
-def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
-    """The degree-n family member, read off the generating function.
+def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
+    """[n]_q! [t^n] e(zt) s(t): z**i coefficient [n]_q!/[i]_q! w_i s_(n-i)."""
+    facts = q_factorials(ctx, n)
+    return PolyZ([facts[n] / facts[i] * exp_weight(ctx, kind, i) * s[n - i] for i in range(n + 1)])
 
-    Forms the scalar series s = h/g to order n and returns the t**n
-    coefficient of e(zt) s(t) scaled by [n]_q!, i.e. the z**i coefficient
-    [n]_q!/[i]_q! * exp_weight(i) * s_(n-i).  Exact; serves as the
-    independent check of the determinant representation.
-    """
+
+def _oracle_scalars(ctx: QContext, kind: int, N: int) -> list:
+    """s = h/g to order N: g is even and g_0 = 1, so s_m = h_m - sum_j g_2j s_(m-2j)."""
+    g = gf_denominator(ctx, kind, N).coeffs
+    s = list(exponential_series(ctx, kind, N, Fraction(-1, 2)).coeffs)
+    for m in range(2, N + 1):
+        s[m] -= sum(g[j] * s[m - j] for j in range(2, m + 1, 2))
+    return s
+
+
+def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
+    """The degree-n family member, read off s = h/g to order n.  Exact;
+    serves as the independent check of the determinant representation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    den = gf_denominator(ctx, kind, n)
-    s = series_mul(exponential_series(ctx, kind, n, Fraction(-1, 2)), series_reciprocal(den))
-    n_fact = q_factorial(ctx, n)
-    return PolyZ(
-        [
-            n_fact / q_factorial(ctx, i) * exp_weight(ctx, kind, i) * s.coefficient(n - i)
-            for i in range(n + 1)
-        ]
-    )
+    return appell_poly(ctx, kind, n, _oracle_scalars(ctx, kind, n))
+
+
+def _oracle_table(ctx: QContext, kind: int, N: int) -> list:
+    """oracle_bernoulli for every degree 0..N, read off one division."""
+    s = _oracle_scalars(ctx, kind, N)
+    return [appell_poly(ctx, kind, n, s) for n in range(N + 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from fractions import Fraction
@@ -14,10 +15,13 @@ from qbernoulli import (
     build_matrix,
     mu,
     oracle_bernoulli,
+    q_binomial,
+    q_factorial,
     q_int,
 )
 from qbernoulli.detrep import _bareiss_det
 from qbernoulli.qcore import context_cache
+from qbernoulli.series import exp_weight, expq_reciprocal_series
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
 ALPHAS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -82,6 +86,21 @@ class TestMu:
             for j in range(1, m):
                 expected *= 1 + q**j
             assert mu(ctx, 1, m) == expected
+
+    def test_kind3_matches_the_reciprocal_expq_formula(self):
+        # the docstring's sum over c = 1/exp_q, while mu divides by exp_q(-t/2)
+        for ctx in (ctx_q("1/4", "0"), QContext.from_fourth_root(Fraction(2, 3), Fraction(-1, 4))):
+            c = expq_reciprocal_series(ctx, 16).coeffs
+            q, a = ctx.q, ctx.alpha
+            weights = [Fraction(1)]
+            for k in range(1, 9):
+                weights.append(
+                    weights[-1] * ctx.q_pow_quarters(8 * k - 2) * (1 - q) ** 2
+                    / ((1 - q ** (2 * k)) * (1 - ctx.q_pow(2 * a + 2 * k)))
+                )
+            for m in range(17):
+                total = sum(weights[k] * c[m - 2 * k] for k in range(m // 2 + 1))
+                assert mu(ctx, 3, m) == Fraction(-1) ** m * q_factorial(ctx, m) / 2**m * total
 
     def test_exact_mode_violation(self):
         ctx = QContext.from_q(Fraction(1, 2), Fraction(1, 3))
@@ -165,6 +184,26 @@ class TestPolynomials:
                 assert poly.coefficient(0) == bernoulli_number(ctx, kind, n)
                 assert bernoulli_poly_value(ctx, kind, n, 0) == bernoulli_number(ctx, kind, n)
 
+    def test_read_off_matches_polynomial_recurrence(self):
+        # today's route reads every coefficient off the numbers; the
+        # polynomial-valued last-column recurrence it replaced stays here
+        # as a reference for the polynomial structure
+        def recurrence_table(ctx, kind, n_max):
+            table = []
+            for m in range(n_max + 1):
+                p = PolyZ.monomial(m, exp_weight(ctx, kind, m))
+                for k in range(1, m + 1):
+                    p = p - (q_binomial(ctx, m, k) * mu(ctx, kind, k)) * table[m - k]
+                table.append(p)
+            return table
+
+        cases = [(QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2)), 30)]
+        cases += [(QContext.from_q(q, alpha), 12) for q in SQUARE_QS for alpha in ALPHAS]
+        for ctx, n_max in cases:
+            for kind in (1, 2, 3):
+                reference = recurrence_table(ctx, kind, n_max)
+                assert [bernoulli_poly_det(ctx, kind, n) for n in range(n_max + 1)] == reference
+
     def test_value_route_matches_poly_route(self):
         # the paper's determinant (value route) against the recurrence table
         # (poly route) over the whole acceptance grid
@@ -218,5 +257,20 @@ class TestTableCache:
         for result in results:
             assert result == [expected[14]] + expected[:14]
         cache = context_cache(shared)
-        assert cache.polys[3] == expected
+        assert cache.numbers[3] == context_cache(reference).numbers[3]
+        assert len(cache.numbers[3]) == 15
         assert len(cache.moments[3]) == 15
+
+    def test_cache_holds_numbers_not_polynomials(self):
+        # memory per context is O(N): after degree-40 tables of every kind
+        # each per-kind list holds exactly the 41 scalars b_0..b_40
+        ctx = QContext.from_fourth_root(Fraction(3, 7), Fraction(1, 2), 131)
+        for kind in (1, 2, 3):
+            for n in range(41):
+                bernoulli_poly_det(ctx, kind, n)
+        cache = context_cache(ctx)
+        assert "polys" not in {f.name for f in dataclasses.fields(cache)}
+        for kind in (1, 2, 3):
+            assert len(cache.moments[kind]) == 41
+            assert len(cache.numbers[kind]) == 41
+            assert all(isinstance(b, Fraction) for b in cache.numbers[kind])

@@ -23,7 +23,8 @@ from qbernoulli import (
     reconstruct_poly,
     tau_estimate,
 )
-from qbernoulli.expand import _tail_geometry, l_truncation_bound
+from qbernoulli import expand
+from qbernoulli.expand import _tail_geometry, l_truncation_bound, l_truncation_bounds
 from qbernoulli.qfun import to_mpf
 
 
@@ -159,6 +160,24 @@ class TestLCoefficients:
             bound = l_truncation_bound(ctx, stream, n)
             difference = abs(value - t0**n * reference)
             assert difference <= bound + Fraction(1, 10**40)
+
+    def test_bounds_form_the_geometry_once(self, monkeypatch):
+        ctx = ctx_q("1/2")
+        stream = CoefficientStream([1, Fraction(1, 3), Fraction(-2, 5), 1], "geometric", Fraction(1, 4))
+        singles = [l_truncation_bound(ctx, stream, n) for n in range(4)]
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return _tail_geometry(c)
+
+        monkeypatch.setattr(expand, "_tail_geometry", counted)
+        assert l_truncation_bounds(ctx, stream, range(4)) == singles
+        l_coefficients(ctx, stream, 3)
+        assert len(calls) == 2
+        # the first failing degree names itself, as a per-degree loop would
+        with pytest.raises(QBernError, match="cannot truncate: n = 4 .* M = 3"):
+            l_coefficients(ctx, stream, 6)
 
     def test_cannot_truncate(self):
         ctx = ctx_q("1/2")

@@ -13,10 +13,11 @@ from qbernoulli import (
     oracle_bernoulli,
     phi21,
     q_factorial,
+    q_pochhammer,
     series_mul,
     series_reciprocal,
 )
-from qbernoulli.series import exponential_series, expq_reciprocal_series
+from qbernoulli.series import _oracle_table, exponential_series, expq_reciprocal_series
 
 ALPHAS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 
@@ -133,6 +134,22 @@ class TestGeneratingFunction:
             series = gf_denominator(ctx, kind, 9)
             assert all(series.coefficient(m) == 0 for m in range(1, 10, 2))
 
+    def test_denominator_running_product_matches_pochhammers(self):
+        # each even coefficient formed from scratch by the closed form
+        ctx = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4))
+        q, alpha = ctx.q, ctx.alpha
+        for kind in (1, 2, 3):
+            series = gf_denominator(ctx, kind, 20)
+            for n in range(11):
+                expected = ((1 - q) / 2) ** (2 * n) / (
+                    q_pochhammer(q**2, q**2, n) * q_pochhammer(ctx.q_pow(2 * alpha + 2), q**2, n)
+                )
+                if kind == 2:
+                    expected *= ctx.q_pow(2 * n * alpha + 2 * n * n)
+                elif kind == 3:
+                    expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
+                assert series.coefficient(2 * n) == expected
+
     def test_numerator_low_coefficients(self):
         ctx = ctx_q(Fraction(1, 4))
         for kind in (1, 2):
@@ -159,6 +176,16 @@ class TestGeneratingFunction:
                     for n in range(13):
                         expected = quotient.coefficient(n) * q_factorial(ctx, n)
                         assert oracle_bernoulli(ctx, kind, n) == expected
+
+
+    def test_oracle_table_matches_single_degrees(self):
+        # the table form reads every degree off one division
+        for ctx in (ctx_q(Fraction(9, 16), "0"), QContext.from_fourth_root(Fraction(3, 7), 1)):
+            for kind in (1, 2, 3):
+                table = _oracle_table(ctx, kind, 16)
+                assert len(table) == 17
+                for n, poly in enumerate(table):
+                    assert poly == oracle_bernoulli(ctx, kind, n)
 
 
 def scalar_reciprocal_product(ctx, kind, scale, order):
