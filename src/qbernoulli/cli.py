@@ -263,7 +263,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
         ls = expand_mod.l_coefficients(ctx, stream, n_terms)
         payload = {"l_coefficients": [str(v) for v in ls]}
         if stream.tail_kind == "geometric":
-            bound = max(expand_mod.l_truncation_bounds(ctx, stream, range(n_terms + 1)))
+            bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
             with mpmath.mp.workprec(precision):
                 payload["truncation_bound"] = _fmt_float(
                     mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator), precision

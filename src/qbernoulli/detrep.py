@@ -11,9 +11,8 @@ beta_n = B_n(0): its last column gives beta_n = -sum_{k=1..n}
 Al-Salam 1967).  Production caches, per context and kind, only the
 normalised moments mu_k / [k]_q! and numbers b_n = beta_n / [n]_q! (b is
 the reciprocal of the moment series), reads polynomials off them on
-demand, and never reads the generating function.  The determinant
-itself, by fraction-free Bareiss elimination, is the tests' reference
-(:func:`bernoulli_poly_value`).
+demand, and never reads the generating function.  The determinant, by
+Bareiss elimination, is the tests' reference (:func:`bernoulli_poly_value`).
 
 The moment ratio (q^(2a+1); q^2)_m / (q^(2a+1); q)_m shares its m=0
 factor (1 - q^(2a+1)) between numerator and denominator, and is stored

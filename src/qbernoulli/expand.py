@@ -210,36 +210,33 @@ def _tail_geometry(ctx: QContext):
     return d, sigma, q_pochhammer(q, q, m) * (1 - tail / (1 - q))
 
 
-def l_truncation_bound(ctx: QContext, stream: CoefficientStream, n: int) -> Fraction:
-    """Certified bound on the part of L_n dropped beyond the stream.
+def l_truncation_bounds(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fraction]:
+    """Certified bounds on the parts of L_0..L_N dropped beyond the stream.
 
     Zero for finite streams; geometric streams combine the declared decay
-    of g_k with the geometric envelope of mu_j / [j]_q!.
+    of g_k with the geometric envelope of mu_j / [j]_q!, formed once.
+    Raises "cannot truncate" for the first n, in order, that has no bound.
     """
-    return l_truncation_bounds(ctx, stream, (n,))[0]
-
-
-def l_truncation_bounds(ctx: QContext, stream: CoefficientStream, degrees) -> list[Fraction]:
-    """l_truncation_bound for each n in degrees, raising what the first
-    failing n would raise; the geometry and |g_M| are formed once."""
     if stream.tail_kind == "finite":
-        return [Fraction(0) for _ in degrees]
-    M, out = stream.last_index, []
-    for n in degrees:
-        if n > M:
-            raise QBernError("cannot truncate: n = %d is past the stream's last index M = %d" % (n, M))
-        if not out:
-            d, sigma, qq_lower = _tail_geometry(ctx)
-            rho = stream.tail_ratio
-            if rho * sigma >= 1:
-                raise QBernError(
-                    "cannot truncate: the tail ratio rho = %s times the moment envelope "
-                    "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
-                )
-            g_M = abs(scaled_coefficient(ctx, stream, M))
-            scale = g_M * d / qq_lower * (rho * sigma) / (1 - rho * sigma)
-        out.append(scale * sigma ** (M - n))
-    return out
+        return [Fraction(0)] * (N + 1)
+    M = stream.last_index
+    if M >= 0:  # n = 0 lies within the stream, so its tail is certified first
+        d, sigma, qq_lower = _tail_geometry(ctx)
+        rho = stream.tail_ratio
+        if rho * sigma >= 1:
+            raise QBernError(
+                "cannot truncate: the tail ratio rho = %s times the moment envelope "
+                "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
+            )
+        g_M = abs(scaled_coefficient(ctx, stream, M))
+    if N > M:
+        raise QBernError(
+            "cannot truncate: n = %d is past the stream's last index M = %d" % (M + 1, M)
+        )
+    return [
+        g_M * d / qq_lower * sigma ** (M - n) * (rho * sigma) / (1 - rho * sigma)
+        for n in range(N + 1)
+    ]
 
 
 def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fraction]:
@@ -252,7 +249,7 @@ def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fra
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    l_truncation_bounds(ctx, stream, range(N + 1))  # raises when not certifiable
+    l_truncation_bounds(ctx, stream, N)  # raises when not certifiable
     return _l_sums(ctx, stream, N, lambda j: mu(ctx, 2, j) / q_factorial(ctx, j))
 
 

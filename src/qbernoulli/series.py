@@ -156,10 +156,13 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common order."""
     if a.order != b.order:
         raise ValueError("series orders differ: %d vs %d" % (a.order, b.order))
-    return TruncatedSeries(
-        [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(1, m + 1)), a.coeffs[0] * b.coeffs[m])
-         for m in range(a.order + 1)]
-    )
+    out = []
+    for m in range(a.order + 1):
+        acc = a.coeffs[0] * b.coeffs[m]
+        for i in range(1, m + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[m - i]
+        out.append(acc)
+    return TruncatedSeries(out)
 
 
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
@@ -170,8 +173,10 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     inv0 = Fraction(1) / c0
     out = [inv0]
     for m in range(1, a.order + 1):
-        terms = (a.coeffs[k] * out[m - k] for k in range(2, m + 1))
-        out.append(-inv0 * sum(terms, a.coeffs[1] * out[m - 1]))
+        acc = a.coeffs[1] * out[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + a.coeffs[k] * out[m - k]
+        out.append(-inv0 * acc)
     return TruncatedSeries(out)
 
 

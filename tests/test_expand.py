@@ -24,7 +24,7 @@ from qbernoulli import (
     tau_estimate,
 )
 from qbernoulli import expand
-from qbernoulli.expand import _tail_geometry, l_truncation_bound, l_truncation_bounds
+from qbernoulli.expand import _tail_geometry, l_truncation_bounds
 from qbernoulli.qfun import to_mpf
 
 
@@ -156,15 +156,13 @@ class TestLCoefficients:
         values = l_coefficients(ctx, stream, 6)
         a = ctx.q  # q^(alpha+1/2) at alpha = 1/2
         reference = phi21(ctx, a, -a, ctx.q**2, (1 - ctx.q) * t0 / 2, 200)
-        for n, value in enumerate(values):
-            bound = l_truncation_bound(ctx, stream, n)
+        for n, (value, bound) in enumerate(zip(values, l_truncation_bounds(ctx, stream, 6))):
             difference = abs(value - t0**n * reference)
             assert difference <= bound + Fraction(1, 10**40)
 
     def test_bounds_form_the_geometry_once(self, monkeypatch):
         ctx = ctx_q("1/2")
         stream = CoefficientStream([1, Fraction(1, 3), Fraction(-2, 5), 1], "geometric", Fraction(1, 4))
-        singles = [l_truncation_bound(ctx, stream, n) for n in range(4)]
         calls = []
 
         def counted(c):
@@ -172,12 +170,16 @@ class TestLCoefficients:
             return _tail_geometry(c)
 
         monkeypatch.setattr(expand, "_tail_geometry", counted)
-        assert l_truncation_bounds(ctx, stream, range(4)) == singles
+        bounds = l_truncation_bounds(ctx, stream, 3)
+        assert [bounds[n] / bounds[3] for n in range(4)] == [Fraction(2, 7) ** (3 - n) for n in range(4)]
         l_coefficients(ctx, stream, 3)
         assert len(calls) == 2
-        # the first failing degree names itself, as a per-degree loop would
+        # the first degree past the stream names itself, as a per-degree loop did
         with pytest.raises(QBernError, match="cannot truncate: n = 4 .* M = 3"):
             l_coefficients(ctx, stream, 6)
+        empty = CoefficientStream([], "geometric", Fraction(1, 4))
+        with pytest.raises(QBernError, match="cannot truncate: n = 0 .* M = -1"):
+            l_truncation_bounds(ctx, empty, 2)
 
     def test_cannot_truncate(self):
         ctx = ctx_q("1/2")
@@ -190,13 +192,13 @@ class TestLCoefficients:
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(50))
         # sigma = (1 - q)/(2(1 - q^3)) = 2/7 at q = 1/2, alpha = 1/2
         with pytest.raises(QBernError, match=r"rho = 50 .* sigma = 2/7 is 100/7 >= 1"):
-            l_truncation_bound(ctx, stream, 0)
+            l_truncation_bounds(ctx, stream, 0)
 
     def test_cannot_truncate_past_the_stream(self):
         ctx = ctx_q("1/2")
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
         with pytest.raises(QBernError, match="cannot truncate: n = 3 .* M = 2"):
-            l_truncation_bound(ctx, stream, 3)
+            l_truncation_bounds(ctx, stream, 3)
 
     def test_cannot_truncate_without_a_product_bound(self):
         # at q = 999/1000 even 256 factors leave 1 - q^257/(1 - q) negative
@@ -205,14 +207,14 @@ class TestLCoefficients:
         with pytest.raises(
             QBernError, match=r"cannot truncate: .*\(q;q\)_inf .* q = 999/1000: q is too close to 1"
         ):
-            l_truncation_bound(ctx, stream, 0)
+            l_truncation_bounds(ctx, stream, 0)
 
     def test_product_bound_near_one(self):
         # at q = 19/20 the 40-factor bound 1 - q^41/(1 - q) is negative;
         # a longer product certifies the stream
         ctx = ctx_q("19/20")
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
-        assert l_truncation_bound(ctx, stream, 0) > 0
+        assert l_truncation_bounds(ctx, stream, 0)[0] > 0
         lower = _tail_geometry(ctx)[2]
         with mp.workprec(200):
             assert 0 < to_mpf(lower) <= mpmath.qp(mpf(19) / 20)
