@@ -185,9 +185,9 @@ class TestPolynomials:
                 assert bernoulli_poly_value(ctx, kind, n, 0) == bernoulli_number(ctx, kind, n)
 
     def test_read_off_matches_polynomial_recurrence(self):
-        # today's route reads every coefficient off the numbers; the
-        # polynomial-valued last-column recurrence it replaced stays here
-        # as a reference for the polynomial structure
+        # production reads every coefficient off the numbers; the
+        # polynomial-valued last-column recurrence of the determinant is
+        # the reference for the polynomial structure
         def recurrence_table(ctx, kind, n_max):
             table = []
             for m in range(n_max + 1):
@@ -205,7 +205,7 @@ class TestPolynomials:
                 assert [bernoulli_poly_det(ctx, kind, n) for n in range(n_max + 1)] == reference
 
     def test_value_route_matches_poly_route(self):
-        # the paper's determinant (value route) against the recurrence table
+        # the paper's determinant (value route) against the read-off
         # (poly route) over the whole acceptance grid
         for q in SQUARE_QS:
             for alpha in ALPHAS:
