@@ -31,10 +31,16 @@ def result(workload="exact-tables", trace=1, **changes):
     return record
 
 
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """The exporter writes to the current directory, as run from a checkout root."""
+    monkeypatch.chdir(tmp_path)
+
+
 def run_main(tmp_path, record, capsys):
     source = tmp_path / ("result-%s.json" % record["workload"])
     source.write_text(json.dumps(record))
-    code = bench_export.main([str(source), "--out-dir", str(tmp_path)])
+    code = bench_export.main([str(source)])
     return code, capsys.readouterr()
 
 
@@ -43,7 +49,7 @@ def test_two_workloads_share_one_file(tmp_path, capsys):
     code, out = run_main(tmp_path, result("cli-session"), capsys)
     assert code == 0
     path = tmp_path / "BENCH_0123456.json"
-    assert out.out.strip() == str(path)
+    assert out.out.strip() == path.name
     bench = json.loads(path.read_text())
     assert (bench["commit"], bench["python"], bench["mpmath"]) == (COMMIT, "3.11.7", "1.3.0")
     assert list(bench["workloads"]) == ["cli-session", "exact-tables"]

@@ -50,14 +50,14 @@ def workload_entry(result: dict) -> dict:
     }
 
 
-def export(result: dict, out_dir: Path) -> Path:
-    """Write or extend BENCH_<short-sha>.json in out_dir; returns its path."""
+def export(result: dict) -> Path:
+    """Write or extend BENCH_<short-sha>.json in the current directory; returns its path."""
     env = result["environment"]
     commit = env["commit"]
     if not re.fullmatch(r"[0-9a-f]{40}", commit):
         raise ExportError("the run records no commit (%s)" % commit)
     head = {"commit": commit, "python": env["python"], "mpmath": env["mpmath"]}
-    path = out_dir / ("BENCH_%s.json" % commit[:SHORT_SHA])
+    path = Path("BENCH_%s.json" % commit[:SHORT_SHA])
     bench = json.loads(path.read_text()) if path.exists() else dict(head, workloads={})
     for key, value in head.items():
         if bench.get(key) != value:
@@ -71,10 +71,9 @@ def export(result: dict, out_dir: Path) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("result", type=Path, help="a .perfbench/result-*.json record")
-    parser.add_argument("--out-dir", type=Path, default=Path("."), help="where the BENCH file goes")
     args = parser.parse_args(argv)
     try:
-        path = export(json.loads(args.result.read_text()), args.out_dir)
+        path = export(json.loads(args.result.read_text()))
     except KeyError as exc:
         message = "the record lacks the field %s" % exc
     except (OSError, ValueError, ExportError) as exc:
