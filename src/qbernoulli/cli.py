@@ -15,10 +15,7 @@ import json
 from fractions import Fraction
 
 import click
-import mpmath
 
-from . import asympt as asympt_mod
-from . import expand as expand_mod
 from .detrep import bernoulli_number, bernoulli_poly_det
 from .qcore import QBernError, QContext
 from .series import _oracle_table
@@ -55,6 +52,8 @@ def _context(q_quarter, q_value, alpha, precision) -> QContext:
 
 
 def _fmt_float(x, precision: int) -> str:
+    import mpmath
+
     digits = mpmath.libmp.prec_to_dps(precision) + 3
     return "%s@%db" % (mpmath.nstr(x, digits), precision)
 
@@ -189,6 +188,8 @@ _ZERO_NAMES = {2: ("Sin_q", "Cos_q"), 3: ("S_q", "C_q_scaled")}
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
     """First q-Bessel zero for this context plus the named trig zeros."""
+    from . import asympt as asympt_mod
+
     ctx = _context(q_quarter, q_value, alpha, precision)
     entries = [("bessel_first_zero", asympt_mod.smallest_zero(ctx, kind))]
     for name in _ZERO_NAMES[kind]:
@@ -219,6 +220,8 @@ def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv", show_default=True)
 def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
     """Exact values against leading asymptotic terms for n = 1..N."""
+    from . import asympt as asympt_mod
+
     ctx = _context(q_quarter, q_value, alpha, precision)
     z = _parse_rational(z, "--z")
     rows = asympt_mod.ratio_diagnostic(ctx, kind, z, range(1, n_max + 1))
@@ -256,6 +259,10 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
 @click.option("--at", "at_point", default=None, help="also reconstruct at this rational point")
 def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_point):
     """Expansion coefficients L_0..L_N of a coefficient stream."""
+    import mpmath
+
+    from . import expand as expand_mod
+
     ctx = _context(q_quarter, q_value, alpha, precision)
     try:
         with open(input_path, "r", encoding="utf-8") as handle:

@@ -225,6 +225,16 @@ class TestGoldenFiles:
         first = run(*args)
         assert first.stdout == (DATA / "golden_poly_k1_b12.csv").read_text()
 
+    def test_help_texts_golden(self):
+        # the width is pinned so that the terminal running the tests cannot wrap the text
+        texts = []
+        for args in ([], ["poly"], ["numbers"], ["zeros"], ["asympt"], ["expand"]):
+            argv = args + ["--help"]
+            result = run(*argv, prog_name="qbern", terminal_width=80)
+            assert result.exit_code == 0
+            texts.append("$ qbern %s\n%s" % (" ".join(argv), result.stdout))
+        assert "".join(texts) == (DATA / "golden_help.txt").read_text()
+
 
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1)
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=8)
