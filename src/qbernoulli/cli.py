@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import click
 
+# mpmath, asympt and expand are imported inside the commands that use them,
+# so that poly, numbers and --help start without loading the numeric modules
 from .detrep import bernoulli_number, bernoulli_poly_det
 from .qcore import QBernError, QContext
 from .series import _oracle_table
