@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from .qcore import QBernError, QContext, q_factorial, q_pochhammer
 from .detrep import bernoulli_poly_det, mu
 from .qfun import to_mpf
-from .series import PolyZ, exp_weight
+from .series import PolyZ, _exp_row
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _rational(value, field: str) -> Fraction:
 
 def psi(ctx: QContext, n: int) -> Fraction:
     """Comparison weight q^(n(n-1)/2) / [n]_q!, E_q's coefficient."""
-    return exp_weight(ctx, 2, n) / q_factorial(ctx, n)
+    return _exp_row(ctx, 2, n)[n]
 
 
 def scaled_coefficient(ctx: QContext, stream: CoefficientStream, k: int) -> Fraction:

@@ -15,8 +15,9 @@ approximated on the exact paths.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
-process-wide precision).  Results worth keeping live in one cache keyed
-on the context, bounded to the CACHED_CONTEXTS most recently used.
+process-wide precision).  Results worth keeping (among them the exponential
+coefficients w_m / [m]_q!) live in one cache keyed on the context, bounded
+to the CACHED_CONTEXTS most recently used.
 """
 
 from __future__ import annotations
@@ -184,9 +185,11 @@ _contexts: dict = {}  # least recently used first
 
 @dataclass
 class ContextCache:
-    """Everything memoised for one context, in append-only lists: O(N) per kind to degree N."""
+    """Everything memoised for one context, in append-only lists: O(N) per kind to degree N.
+    ``exponentials`` holds the row w_m / [m]_q! every exact polynomial and series reads."""
 
     factorials: list = field(default_factory=lambda: [Fraction(1)])
+    exponentials: dict = field(default_factory=dict)  # kind -> [w_0/[0]_q!, w_1/[1]_q!, ...]
     moments: dict = field(default_factory=dict)  # kind -> [mu_0, mu_1, ...]
     numbers: dict = field(default_factory=dict)  # kind -> [b_0, b_1, ...], b_n = B_n(0)/[n]_q!
     zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult

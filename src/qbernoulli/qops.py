@@ -14,16 +14,22 @@ from .detrep import bernoulli_poly_det
 from .series import PolyZ
 
 
+def _q_ints(base):
+    """[1]_base, [2]_base, ..., each as 1 + base [i-1]_base."""
+    k = 0
+    while True:
+        k = 1 + base * k
+        yield k
+
+
 def dq(ctx: QContext, p: PolyZ) -> PolyZ:
     """Jackson operator: z**n -> [n]_q z**(n-1), constants -> 0."""
-    return PolyZ([q_int(ctx, i) * p.coeffs[i] for i in range(1, len(p.coeffs))])
+    return PolyZ([k * c for k, c in zip(_q_ints(ctx.q), p.coeffs[1:])])
 
 
 def dq_inverse_base(ctx: QContext, p: PolyZ) -> PolyZ:
-    """Jackson operator with base 1/q: z**n -> q**(1-n) [n]_q z**(n-1)."""
-    return PolyZ(
-        [ctx.q ** (1 - i) * q_int(ctx, i) * p.coeffs[i] for i in range(1, len(p.coeffs))]
-    )
+    """Jackson operator with base 1/q: z**n -> q**(1-n) [n]_q z**(n-1) = [n]_(1/q) z**(n-1)."""
+    return PolyZ([k * c for k, c in zip(_q_ints(1 / ctx.q), p.coeffs[1:])])
 
 
 def delta_q(ctx: QContext, p: PolyZ) -> PolyZ:
@@ -49,6 +55,8 @@ def appell_check(ctx: QContext, kind: int, n_max: int) -> list[dict]:
     Returns one {"kind", "n", "pass"} record per degree 1..n_max; the
     list is JSON-ready.  Failures are report entries, never exceptions.
     """
+    if kind not in _OPERATORS:
+        raise ValueError("kind must be 1, 2 or 3")
     op = _OPERATORS[kind]
     polys = [bernoulli_poly_det(ctx, kind, n) for n in range(n_max + 1)]
     report = []

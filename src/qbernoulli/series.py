@@ -5,7 +5,9 @@ Each family's generating function is e(zt) h(t) / g(t): e is the kind's
 q-exponential, h the same exponential at -t/2 and g the even q-Bessel
 series.  The family is therefore q-Appell: given its scalar series s, the
 z**i coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i),
-with w_i the exponential's weight (:func:`appell_poly`).  The oracle
+with w_i the exponential's weight (:func:`appell_poly`).  The read-off,
+the exponential series and so the oracle's h read w_m / [m]_q! from one
+cached row per context and kind (:func:`_exp_row`).  The oracle
 takes s = h/g, dividing by the even coefficients of g alone; one division
 to order N serves every degree 0..N (:func:`_oracle_table`).  It uses no
 moments, no recurrence and no q-binomials, so it stays independent of
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import QBernError, QContext, q_factorials, require_exact_alpha
+from .qcore import QBernError, QContext, cache_lock, context_cache, q_factorials, require_exact_alpha
 
 
 class PolyZ:
@@ -36,7 +38,7 @@ class PolyZ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -196,14 +198,27 @@ def exp_weight(ctx: QContext, kind: int, m: int) -> Fraction:
     raise ValueError("kind must be 1, 2 or 3")
 
 
+def _exp_row(ctx: QContext, kind: int, N: int) -> list:
+    """The cached coefficients w_m / [m]_q!, m = 0..N (at least), of this context and kind."""
+    facts = q_factorials(ctx, N)
+    row = context_cache(ctx).exponentials.setdefault(kind, [])
+    with cache_lock:
+        for m in range(len(row), N + 1):
+            row.append(exp_weight(ctx, kind, m) / facts[m])
+    return row
+
+
 def exponential_series(ctx: QContext, kind: int, N: int, scale) -> TruncatedSeries:
     """The kind's q-exponential at argument scale*t, to order N.
 
     Coefficient of t**m is exp_weight(kind, m) * scale**m / [m]_q!.
     """
-    scale = Fraction(scale)
-    facts = q_factorials(ctx, N)
-    return TruncatedSeries([exp_weight(ctx, kind, m) * scale**m / facts[m] for m in range(N + 1)])
+    scale, row = Fraction(scale), _exp_row(ctx, kind, N)
+    coeffs, power = [], Fraction(1)
+    for m in range(N + 1):
+        coeffs.append(row[m] * power)
+        power *= scale
+    return TruncatedSeries(coeffs)
 
 
 def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
@@ -227,17 +242,19 @@ def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
     coeffs = [Fraction(0)] * (N + 1)
-    coeffs[0] = pochhammers = Fraction(1)
-    half = Fraction(1, 2) * (1 - ctx.q)
+    coeffs[0] = term = Fraction(1)
+    half2 = (1 - ctx.q) ** 2 / 4
     q2 = ctx.q**2
+    grow = {1: 1, 2: q2 * q2, 3: q2}[kind]
     for n in range(1, N // 2 + 1):
-        # one more factor of each: (q^2;q^2)_n and (q^(2a+2);q^2)_n
-        pochhammers *= (1 - q2**n) * (1 - ctx.q_pow(2 * ctx.alpha + 2 * n))
-        term = half ** (2 * n) / pochhammers
-        if kind == 2:
-            term *= ctx.q_pow(2 * n * ctx.alpha + 2 * n * n)
-        elif kind == 3:
-            term *= ctx.q_pow_quarters(4 * n * n + 2 * n)
+        # running q^(2n), q^(2a+2n) and the kind's step q^(2a+4n-2) or q^(2n-1/2), each
+        # started at its n = 1 value, so a missing root raises on the closed form's exponent
+        if n == 1:
+            q2n, shifted = q2, ctx.q_pow(2 * ctx.alpha + 2)
+            step = shifted if kind == 2 else ctx.q_pow_quarters(6) if kind == 3 else 1
+        else:
+            q2n, shifted, step = q2n * q2, shifted * q2, step * grow
+        term *= half2 * step / ((1 - q2n) * (1 - shifted))
         coeffs[2 * n] = term
     return TruncatedSeries(coeffs)
 
@@ -261,8 +278,8 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
 
 def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
     """[n]_q! [t^n] e(zt) s(t): z**i coefficient [n]_q!/[i]_q! w_i s_(n-i)."""
-    facts = q_factorials(ctx, n)
-    return PolyZ([facts[n] / facts[i] * exp_weight(ctx, kind, i) * s[n - i] for i in range(n + 1)])
+    row, f = _exp_row(ctx, kind, n), q_factorials(ctx, n)[n]
+    return PolyZ([f * row[i] * s[n - i] for i in range(n + 1)])
 
 
 def _oracle_scalars(ctx: QContext, kind: int, N: int) -> list:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,23 @@ DATA = Path(__file__).parent / "data"
 
 def run(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
+
+
+def exact_error_transcript() -> str:
+    """stdout, stderr and exit code of poly and numbers at q = 1/2, alpha = 1/4,
+    for every kind, route and n in (1, 3).  q has no rational square root,
+    so the exact routes raise from degree 2 on, each on its own q-power."""
+    parts = []
+    for command, kind, via, n in itertools.product(
+        ("poly", "numbers"), "123", ("det", "oracle", "both"), "13"
+    ):
+        argv = [command, "--kind", kind, "--q", "1/2", "--alpha", "1/4", "--n", n, "--via", via]
+        result = run(*argv)
+        parts.append(
+            "$ qbern %s\n[exit %d]\n%s[stderr]\n%s"
+            % (" ".join(argv), result.exit_code, result.stdout, result.stderr)
+        )
+    return "".join(parts)
 
 
 class TestPoly:
@@ -234,6 +252,10 @@ class TestGoldenFiles:
             assert result.exit_code == 0
             texts.append("$ qbern %s\n%s" % (" ".join(argv), result.stdout))
         assert "".join(texts) == (DATA / "golden_help.txt").read_text()
+
+    def test_exact_errors_golden(self):
+        # which q-power each route fails on, and that degree 1 still succeeds
+        assert exact_error_transcript() == (DATA / "golden_exact_errors.txt").read_text()
 
 
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1)

@@ -260,6 +260,8 @@ class TestTableCache:
         assert cache.numbers[3] == context_cache(reference).numbers[3]
         assert len(cache.numbers[3]) == 15
         assert len(cache.moments[3]) == 15
+        assert len(cache.exponentials[3]) == 15
+        assert cache.exponentials[3] == context_cache(reference).exponentials[3]
 
     def test_cache_holds_numbers_not_polynomials(self):
         # memory per context is O(N): after degree-40 tables of every kind

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from qbernoulli import (
     PolyZ,
     QContext,
@@ -21,6 +23,9 @@ class TestJacksonOperator:
         ctx = ctx_q("1/2")
         assert dq(ctx, PolyZ.monomial(3)) == q_int(ctx, 3) * PolyZ.monomial(2)
         assert dq(ctx, PolyZ([5])) == PolyZ()
+        for base in (ctx, ctx.reciprocal_base()):
+            for i in range(1, 21):
+                assert dq(base, PolyZ.monomial(i)) == q_int(base, i) * PolyZ.monomial(i - 1)
 
     def test_linearity(self):
         ctx = ctx_q("1/3")
@@ -35,6 +40,10 @@ class TestInverseBaseOperator:
         assert dq_inverse_base(ctx, PolyZ.monomial(2)) == PolyZ([0, 3])
         assert dq_inverse_base(ctx, PolyZ([7])) == PolyZ()
         assert dq_inverse_base(ctx, PolyZ.monomial(1)) == PolyZ([1])
+        for base in (ctx, ctx.reciprocal_base()):
+            for i in range(1, 21):
+                expected = base.q ** (1 - i) * q_int(base, i) * PolyZ.monomial(i - 1)
+                assert dq_inverse_base(base, PolyZ.monomial(i)) == expected
 
     def test_agrees_with_dq_on_degree_one(self):
         ctx = ctx_q("1/3")
@@ -69,3 +78,8 @@ class TestAppellCheck:
         report = appell_check(ctx_q("1/4", "0"), 2, 3)
         parsed = json.loads(json.dumps(report))
         assert parsed == report
+
+    def test_unknown_kind_raises(self):
+        for kind in (0, 4):
+            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                appell_check(ctx_q("1/4"), kind, 2)

@@ -17,7 +17,13 @@ from qbernoulli import (
     series_mul,
     series_reciprocal,
 )
-from qbernoulli.series import _oracle_table, exponential_series, expq_reciprocal_series
+from qbernoulli.series import (
+    _exp_row,
+    _oracle_table,
+    exp_weight,
+    exponential_series,
+    expq_reciprocal_series,
+)
 
 ALPHAS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
 
@@ -149,6 +155,23 @@ class TestGeneratingFunction:
                 elif kind == 3:
                     expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
                 assert series.coefficient(2 * n) == expected
+
+    def test_exponential_row_matches_closed_form(self):
+        # the cached row, extended in two steps on cold cache entries, against
+        # w_m / [m]_q! formed per m; kind 3 needs the square root of q
+        cases = [
+            (QContext.from_q(q, alpha, 137), (1, 2, 3))
+            for q in (Fraction(1, 16), Fraction(1, 4), Fraction(9, 16))
+            for alpha in ALPHAS
+        ]
+        cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2), 137).reciprocal_base(), (1, 2)))
+        for ctx, kinds in cases:
+            for kind in kinds:
+                _exp_row(ctx, kind, 7)
+                row = _exp_row(ctx, kind, 40)
+                assert len(row) == 41
+                for m in range(41):
+                    assert row[m] == exp_weight(ctx, kind, m) / q_factorial(ctx, m)
 
     def test_numerator_low_coefficients(self):
         ctx = ctx_q(Fraction(1, 4))
