@@ -74,19 +74,14 @@ def _certified_value(evaluate, x, precision):
     return 0, value
 
 
-def _certified_sign(evaluate, x, precision):
-    """Certified sign of evaluate(x, wp); 0 when none can be certified."""
-    return _certified_value(evaluate, x, precision)[0]
-
-
 def _resolve_sign(evaluate, x, step, precision):
     """Certified sign at x, nudging slightly right when x sits dead on a
     zero, so bracket endpoints always carry a provable sign."""
-    sign = _certified_sign(evaluate, x, precision)
+    sign = _certified_value(evaluate, x, precision)[0]
     attempt = 1
     while sign == 0 and attempt <= 50:
         x = x + step / 1024 * attempt
-        sign = _certified_sign(evaluate, x, precision)
+        sign = _certified_value(evaluate, x, precision)[0]
         attempt += 1
     if sign == 0:
         raise QBernError("could not certify a sign near %s" % x)

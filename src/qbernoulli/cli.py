@@ -264,6 +264,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
     import mpmath
 
     from . import expand as expand_mod
+    from .qfun import to_mpf
 
     ctx = _context(q_quarter, q_value, alpha, precision)
     try:
@@ -274,9 +275,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
         if stream.tail_kind == "geometric":
             bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
             with mpmath.mp.workprec(precision):
-                payload["truncation_bound"] = _fmt_float(
-                    mpmath.mpf(bound.numerator) / mpmath.mpf(bound.denominator), precision
-                )
+                payload["truncation_bound"] = _fmt_float(to_mpf(bound), precision)
         if at_point is not None:
             z = _parse_rational(at_point, "--at")
             value = expand_mod.reconstruct(ctx, stream, z, n_terms)

@@ -63,10 +63,13 @@ def _bareiss_det(rows) -> Fraction:
 
 def _moments(ctx: QContext, kind: int, m: int) -> list:
     """The cached normalised moments mu_k / [k]_q!, k = 0..m (at least), of
-    this context and kind."""
+    this context and kind; a context without an exact alpha raises, also at m = 0."""
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
-    moments = context_cache(ctx).moments.setdefault(kind, [Fraction(1)])
+    moments = context_cache(ctx).moments.get(kind)
+    if moments is None:  # m_0 = 1 needs no q-power, but only an exact context has moments
+        require_exact_alpha(ctx)
+        moments = context_cache(ctx).moments.setdefault(kind, [Fraction(1)])
     with cache_lock:
         if len(moments) > m:
             return moments

@@ -9,8 +9,11 @@ coefficient functionals reduce to
 
 with mu the type-2 moment coefficients; this is the residue-free form of
 the contour-integral definition and is the only computational path used
-here.  Finite coefficient streams give exact rational L_n; streams with a
-declared geometric bound on g_k are truncated with a certified error.
+here.  Each call reads g off the cached exponential row and the weights
+mu_j / [j]_q! off the cached normalised moment row, once; the alpha = +-1/2
+corollaries form their closed-form weights once per call.  Finite
+coefficient streams give exact rational L_n; streams with a declared
+geometric bound on g_k are truncated with a certified error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .qcore import QBernError, QContext, q_factorial, q_pochhammer
-from .detrep import bernoulli_poly_det, mu
+from .detrep import _moments, bernoulli_poly_det
 from .qfun import to_mpf
 from .series import PolyZ, _exp_row
 
@@ -250,20 +253,17 @@ def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fra
     if N < 0:
         raise ValueError("N must be >= 0")
     l_truncation_bounds(ctx, stream, N)  # raises when not certifiable
-    return _l_sums(ctx, stream, N, lambda j: mu(ctx, 2, j) / q_factorial(ctx, j))
+    return _l_sums(ctx, stream, N, lambda J: _moments(ctx, 2, J))
 
 
-def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weight) -> list[Fraction]:
-    """L_n = sum_{k=n..M} g_k weight(k-n) for n = 0..N, over the stream."""
-    g = [scaled_coefficient(ctx, stream, k) for k in range(stream.last_index + 1)]
-    out = []
-    for n in range(N + 1):
-        total = Fraction(0)
-        for k in range(n, len(g)):
-            if g[k]:
-                total += g[k] * weight(k - n)
-        out.append(total)
-    return out
+def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weights) -> list[Fraction]:
+    """L_n = sum_{k=n..J} g_k w_(k-n) for n = 0..N, where g_J is the last
+    nonzero scaled coefficient and w = weights(J); an all-zero stream reads no weight."""
+    g = [f / e for f, e in zip(stream.coefficients, _exp_row(ctx, 2, max(stream.last_index, 0)))]
+    while g and not g[-1]:
+        g.pop()
+    w = weights(len(g) - 1) if g else []
+    return [sum((gk * wj for gk, wj in zip(g[n:], w)), Fraction(0)) for n in range(N + 1)]
 
 
 def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
@@ -319,4 +319,4 @@ def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N
     else:
         raise ValueError("variant must be 'bernoulli' or 'euler'")
     # the weights stand in for mu_j / (q;q)_j, and [j]_q! = (q;q)_j / (1-q)^j
-    return _l_sums(ctx, stream, N, lambda j: (1 - q) ** j * weight(j))
+    return _l_sums(ctx, stream, N, lambda J: [(1 - q) ** j * weight(j) for j in range(J + 1)])

@@ -31,6 +31,7 @@ from .qcore import (
 )
 
 GUARD_BITS = 40
+MAX_SERIES_TERMS = 200_000
 
 
 def to_mpf(x):
@@ -40,7 +41,7 @@ def to_mpf(x):
     return mpf(x)
 
 
-def certified_sum(first_term, step, workprec, tol=None, max_terms=200_000):
+def certified_sum(first_term, step, workprec):
     """Sum a series with a self-certifying geometric tail.
 
     ``step(n, term)`` must return ``(next_term, ratio_bound)`` where
@@ -49,8 +50,7 @@ def certified_sum(first_term, step, workprec, tol=None, max_terms=200_000):
     tail and the accumulated rounding error at ``workprec`` bits.
     """
     with mp.workprec(workprec):
-        if tol is None:
-            tol = mpf(2) ** (-workprec + 10)
+        tol = mpf(2) ** (-workprec + 10)
         total = mpf(first_term)
         abs_total = abs(total)
         term = total
@@ -65,8 +65,8 @@ def certified_sum(first_term, step, workprec, tol=None, max_terms=200_000):
                 if tail < tol:
                     rounding = abs_total * (n + 4) * mpf(2) ** (2 - workprec)
                     return total, tail + rounding
-            if n > max_terms:
-                raise QBernError("series failed to certify within %d terms" % max_terms)
+            if n > MAX_SERIES_TERMS:
+                raise QBernError("series failed to certify within %d terms" % MAX_SERIES_TERMS)
 
 
 def _workprec(ctx: QContext, precision=None):

@@ -36,6 +36,43 @@ def exact_error_transcript() -> str:
     return "".join(parts)
 
 
+EXPAND_CONTEXTS = (
+    ("--q-quarter", "1/2", "--alpha", "1/2"),
+    ("--q", "1/2", "--alpha", "1/4"),
+    ("--q", "1/2", "--alpha", "1/3"),
+    ("--q-quarter", "2/3", "--alpha", "-1/2"),
+)
+EXPAND_STREAMS = (
+    ("empty", [], "finite"),
+    ("zeros", ["0", "0", "0"], "finite"),
+    ("one", ["1"], "finite"),
+    ("linear", ["1", "2", "0", "0"], "finite"),
+    ("cubic", ["2", "-1", "1/2", "1/3"], "finite"),
+    ("geometric", ["1", "1/2", "-1/4", "1/8"], {"geometric": "1/4"}),
+    ("geometric_zeros", ["0", "0", "0", "0"], {"geometric": "1/4"}),
+    ("uncertifiable", ["1", "1", "1", "1"], {"geometric": "4"}),
+)
+
+
+def expand_transcript(tmp_path) -> str:
+    """stdout, stderr and exit code of expand over four contexts (alpha = 1/4
+    fails from moment 2 on, alpha = 1/3 is not exact), finite and geometric
+    streams, --terms 0, 1 and 3, and --at 1/3 at --terms 3.  The stream
+    directory is replaced by <dir>."""
+    parts = []
+    for context, (name, coefficients, tail) in itertools.product(EXPAND_CONTEXTS, EXPAND_STREAMS):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps({"coefficients": coefficients, "tail": tail}))
+        for extra in (["--terms", "0"], ["--terms", "1"], ["--terms", "3"], ["--terms", "3", "--at", "1/3"]):
+            argv = ["expand", *context, "--input", str(path), *extra]
+            result = run(*argv)
+            parts.append(
+                "$ qbern %s\n[exit %d]\n%s[stderr]\n%s"
+                % (" ".join(argv), result.exit_code, result.stdout, result.stderr)
+            )
+    return "".join(parts).replace(str(tmp_path), "<dir>")
+
+
 class TestPoly:
     def test_degree_one_row(self):
         result = run("poly", "--kind", "1", "--q", "1/4", "--alpha", "1/2", "--n", "1")
@@ -98,6 +135,11 @@ class TestExitCodes:
         result = run("poly", "--kind", "3", "--q", "1/2", "--n", "2")
         assert result.exit_code == 3
         assert "rational square root" in result.stderr
+        # alpha = 1/3 is not exact: every route fails, also at n = 0
+        for command, via in itertools.product(("poly", "numbers"), ("det", "oracle", "both")):
+            result = run(command, "--kind", "1", "--q", "1/2", "--alpha", "1/3", "--n", "0", "--via", via)
+            assert result.exit_code == 3
+            assert "exact mode requires 4*alpha to be an integer, got alpha=1/3" in result.stderr
 
     def test_irrational_fourth_root_warns(self):
         result = run("poly", "--kind", "1", "--q", "1/4", "--n", "1")
@@ -256,6 +298,10 @@ class TestGoldenFiles:
     def test_exact_errors_golden(self):
         # which q-power each route fails on, and that degree 1 still succeeds
         assert exact_error_transcript() == (DATA / "golden_exact_errors.txt").read_text()
+
+    def test_expand_golden(self, tmp_path):
+        # the L_n sums, truncation bounds and reconstructions, and each failure's cause
+        assert expand_transcript(tmp_path) == (DATA / "golden_expand.txt").read_text()
 
 
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1)

@@ -106,6 +106,12 @@ class TestMu:
         ctx = QContext.from_q(Fraction(1, 2), Fraction(1, 3))
         with pytest.raises(ExactModeError):
             mu(ctx, 1, 2)
+        # m_0 = 1 needs no q-power, yet n = 0 raises as mu and the oracle do
+        for kind in (1, 2, 3):
+            with pytest.raises(ExactModeError, match="got alpha=1/3"):
+                bernoulli_number(ctx, kind, 0)
+            with pytest.raises(ExactModeError, match="got alpha=1/3"):
+                bernoulli_poly_det(ctx, kind, 0)
 
 
 class TestBuildMatrix:

@@ -19,17 +19,40 @@ from qbernoulli import (
     psi,
     q_binomial,
     q_factorial,
+    q_pochhammer,
     reconstruct,
     reconstruct_poly,
     tau_estimate,
 )
 from qbernoulli import expand
+from qbernoulli.detrep import _moments
 from qbernoulli.expand import _tail_geometry, l_truncation_bounds
 from qbernoulli.qfun import to_mpf
 
 
 def ctx_q(q, alpha="1/2", bits=128):
     return QContext.from_q(Fraction(q), Fraction(alpha), bits)
+
+
+# the acceptance grid: q in {1/16, 1/4, 9/16} x alpha in {-1/2, 0, 1/2, 1}
+GRID = [ctx_q(Fraction(q, 16), alpha) for q in (1, 4, 9) for alpha in ("-1/2", "0", "1/2", "1")]
+# interior and trailing zeros
+SPARSE = CoefficientStream.finite(
+    [0 if k % 4 == 2 else Fraction((-1) ** k * (k + 1), k + 2) for k in range(17)] + [0, 0, 0]
+)
+
+
+def per_pair_sums(ctx, stream, N, weight):
+    """L_n = sum_k g_k weight(k - n), the weight formed afresh for every (n, k)."""
+    g = [f / psi(ctx, k) for k, f in enumerate(stream.coefficients)]
+    out = []
+    for n in range(N + 1):
+        total = Fraction(0)
+        for k in range(n, len(g)):
+            if g[k]:
+                total += g[k] * weight(k - n)
+        out.append(total)
+    return out
 
 
 def poch_poly_coeffs(ctx, n):
@@ -181,6 +204,32 @@ class TestLCoefficients:
         with pytest.raises(QBernError, match="cannot truncate: n = 0 .* M = -1"):
             l_truncation_bounds(ctx, empty, 2)
 
+    def test_sums_match_per_pair_moment_weights(self):
+        for ctx in GRID:
+            def weight(j):
+                return mu(ctx, 2, j) / q_factorial(ctx, j)
+
+            for N in (0, 7, 19):
+                assert l_coefficients(ctx, SPARSE, N) == per_pair_sums(ctx, SPARSE, N, weight)
+            t0 = Fraction(1, 4)
+            geometric = CoefficientStream([psi(ctx, k) * t0**k for k in range(41)], "geometric", t0)
+            assert l_coefficients(ctx, geometric, 25) == per_pair_sums(ctx, geometric, 25, weight)
+
+    def test_moments_are_read_once_per_call(self, monkeypatch):
+        ctx = ctx_q("1/2")
+        reads = []
+
+        def counted(c, kind, m):
+            reads.append((kind, m))
+            return _moments(c, kind, m)
+
+        monkeypatch.setattr(expand, "_moments", counted)
+        l_coefficients(ctx, SPARSE, 19)
+        assert reads == [(2, 16)]  # up to the last nonzero coefficient
+        l_coefficients(ctx, CoefficientStream.finite([0, 0, 0]), 2)
+        l_coefficients(ctx, CoefficientStream.finite([]), 2)
+        assert reads == [(2, 16)]
+
     def test_cannot_truncate(self):
         ctx = ctx_q("1/2")
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(50))
@@ -292,6 +341,33 @@ class TestCorollaryWrappers:
             ctx, 2, 1
         )
         assert naive_total != PolyZ.monomial(1)
+
+    def test_weights_match_per_pair_pochhammer_products(self):
+        stream = CoefficientStream.finite([Fraction(1 - 2 * (k % 3), k + 1) for k in range(21)])
+        for ctx in (ctx_q("1/2", "1/2"), ctx_q("1/4", "-1/2"), ctx_q("9/16", "1")):
+            q = ctx.q
+            weights = {
+                "bernoulli": lambda j: q_pochhammer(-q, q, j) / (2**j * q_pochhammer(q**2, q, j)),
+                "euler": lambda j: q_pochhammer(-q, q, max(j - 1, 0)) / (2**j * q_pochhammer(q, q, j)),
+            }
+            for variant, weight in weights.items():
+                expected = per_pair_sums(ctx, stream, 20, lambda j: (1 - q) ** j * weight(j))
+                assert corollary_wrappers(ctx, stream, variant, 20) == expected
+
+    def test_weights_are_formed_once_per_call(self, monkeypatch):
+        ctx = ctx_q("1/2")
+        stream = CoefficientStream.finite([Fraction(1, k + 1) for k in range(21)])
+        products = []
+
+        def counted(a, base, n):
+            products.append(n)
+            return q_pochhammer(a, base, n)
+
+        monkeypatch.setattr(expand, "q_pochhammer", counted)
+        for variant in ("bernoulli", "euler"):
+            products.clear()
+            corollary_wrappers(ctx, stream, variant, 20)
+            assert len(products) <= 2 * 21
 
     def test_requires_finite_stream(self):
         ctx = ctx_q("1/2")
