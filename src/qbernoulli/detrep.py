@@ -141,7 +141,9 @@ def _numbers(ctx: QContext, kind: int, n: int) -> list:
     if n < 0:
         raise ValueError("n must be >= 0")
     moments = _moments(ctx, kind, n)
-    numbers = context_cache(ctx).numbers.setdefault(kind, [Fraction(1)])
+    numbers = context_cache(ctx).numbers.get(kind)
+    if numbers is None:
+        numbers = context_cache(ctx).numbers.setdefault(kind, [Fraction(1)])
     with cache_lock:
         for m in range(len(numbers), n + 1):
             numbers.append(-sum(moments[k] * numbers[m - k] for k in range(1, m + 1)))
@@ -168,6 +170,7 @@ def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
     z = 0, with bernoulli_number.
     """
     if n == 0:
+        require_exact_alpha(ctx)
         return Fraction(1)
     z = Fraction(z)
     weights, scalar_rows = build_matrix(ctx, kind, n)

@@ -13,7 +13,8 @@ here.  Each call reads g off the cached exponential row and the weights
 mu_j / [j]_q! off the cached normalised moment row, once; the alpha = +-1/2
 corollaries form their closed-form weights once per call.  Finite
 coefficient streams give exact rational L_n; streams with a declared
-geometric bound on g_k are truncated with a certified error.
+geometric bound on g_k are truncated with a certified error.  The partial sum
+sum L_n B_n / [n]_q! is exact, read off the cached number row once; reconstruct rounds it once.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import QBernError, QContext, q_factorial, q_pochhammer
-from .detrep import _moments, bernoulli_poly_det
+from .qcore import QBernError, QContext, q_pochhammer
+from .detrep import _moments, _numbers
 from .qfun import to_mpf
 from .series import PolyZ, _exp_row
 
@@ -267,31 +268,25 @@ def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weights) -> list[F
 
 
 def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
-    """Exact partial expansion sum_{n<=N} L_n B_n / [n]_q! as a PolyZ.
-
-    For a finite stream with N at least its degree this reproduces the
-    stream polynomial identically.
+    """Exact partial expansion sum_{n<=N} L_n B_n / [n]_q! as a PolyZ, read off the
+    cached kind-2 rows in one pass: [z^i] B_n / [n]_q! = (w_i / [i]_q!) b_(n-i), and
+    no row is read past the last nonzero L_n.  For a finite stream with N at least
+    its degree this reproduces the stream polynomial identically.
     """
     ls = l_coefficients(ctx, stream, N)
-    total = PolyZ()
-    for n in range(N + 1):
-        if ls[n]:
-            total = total + (ls[n] / q_factorial(ctx, n)) * bernoulli_poly_det(ctx, 2, n)
-    return total
+    while ls and not ls[-1]:
+        ls.pop()
+    if not ls:
+        return PolyZ()
+    row, b = _exp_row(ctx, 2, len(ls) - 1), _numbers(ctx, 2, len(ls) - 1)
+    return PolyZ([row[i] * sum(l * bj for l, bj in zip(ls[i:], b)) for i in range(len(ls))])
 
 
 def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:
-    """Partial expansion evaluated at real z, in working precision."""
+    """Partial expansion at real z: reconstruct_poly, rounded once in working precision."""
     ctx.require_numeric()
-    ls = l_coefficients(ctx, stream, N)
     with mp.workprec(ctx.float_precision_bits + 40):
-        z = to_mpf(z)
-        total = mpf(0)
-        for n in range(N + 1):
-            if ls[n]:
-                poly = bernoulli_poly_det(ctx, 2, n)
-                total += to_mpf(ls[n] / q_factorial(ctx, n)) * poly(z)
-        return +total
+        return +reconstruct_poly(ctx, stream, N)(to_mpf(z))
 
 
 def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N: int) -> list[Fraction]:

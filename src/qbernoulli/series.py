@@ -201,7 +201,9 @@ def exp_weight(ctx: QContext, kind: int, m: int) -> Fraction:
 def _exp_row(ctx: QContext, kind: int, N: int) -> list:
     """The cached coefficients w_m / [m]_q!, m = 0..N (at least), of this context and kind."""
     facts = q_factorials(ctx, N)
-    row = context_cache(ctx).exponentials.setdefault(kind, [])
+    row = context_cache(ctx).exponentials.get(kind)
+    if row is None:
+        row = context_cache(ctx).exponentials.setdefault(kind, [])
     with cache_lock:
         for m in range(len(row), N + 1):
             row.append(exp_weight(ctx, kind, m) / facts[m])

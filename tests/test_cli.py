@@ -224,6 +224,22 @@ class TestExpand:
         assert ls[4] == "0" and ls[5] == "0"
         assert record["payload"]["reconstruction"]["exact_identity"] is True
 
+    def test_value_keeps_its_precision(self, tmp_path):
+        # the terms L_n B_n(1/3) / [n]_q! reach 10^100 here, and the exact sum is rounded once
+        stream = tmp_path / "stream.json"
+        stream.write_text(
+            '{"coefficients": ["-2/9", "-5/6", "3", "-9/8", "-1/9", "-1/2",'
+            ' "2/3", "1", "1", "-2/3", "1", "-9/2"]}'
+        )
+        result = run(
+            "expand", "--q-quarter", "1/2", "--alpha", "1/2",
+            "--input", str(stream), "--terms", "12", "--at", "1/3",
+        )
+        assert result.exit_code == 0
+        reconstruction = json.loads(result.stdout)["payload"]["reconstruction"]
+        assert reconstruction["value"].startswith("-0.2102808684313028163")
+        assert reconstruction["exact_identity"] is True
+
     def test_pochhammer_stream_l0(self, tmp_path):
         stream = tmp_path / "stream.json"
         stream.write_text('{"coefficients": ["1", "-1"], "tail": "finite"}')

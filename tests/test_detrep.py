@@ -112,6 +112,8 @@ class TestMu:
                 bernoulli_number(ctx, kind, 0)
             with pytest.raises(ExactModeError, match="got alpha=1/3"):
                 bernoulli_poly_det(ctx, kind, 0)
+            with pytest.raises(ExactModeError, match="got alpha=1/3"):
+                bernoulli_poly_value(ctx, kind, 0, Fraction(1, 3))
 
 
 class TestBuildMatrix:

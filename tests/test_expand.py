@@ -25,7 +25,7 @@ from qbernoulli import (
     tau_estimate,
 )
 from qbernoulli import expand
-from qbernoulli.detrep import _moments
+from qbernoulli.detrep import _moments, _numbers
 from qbernoulli.expand import _tail_geometry, l_truncation_bounds
 from qbernoulli.qfun import to_mpf
 
@@ -53,6 +53,26 @@ def per_pair_sums(ctx, stream, N, weight):
                 total += g[k] * weight(k - n)
         out.append(total)
     return out
+
+
+def per_degree_sum(ctx, stream, N):
+    """sum_n (L_n / [n]_q!) B_n, each degree's polynomial formed on its own."""
+    total = PolyZ()
+    for n, ln in enumerate(l_coefficients(ctx, stream, N)):
+        if ln:
+            total = total + (ln / q_factorial(ctx, n)) * bernoulli_poly_det(ctx, 2, n)
+    return total
+
+
+def geometric_stream(ctx, t0=Fraction(1, 4)):
+    """The coefficients of E_q(t0 z), 41 terms with a geometric tail of ratio t0."""
+    return CoefficientStream([psi(ctx, k) * t0**k for k in range(41)], "geometric", t0)
+
+
+# the 12 terms whose per-degree float sum at z = 1/3 and q = 1/16 read 3.97e11
+TWELVE = CoefficientStream.finite(
+    ["-2/9", "-5/6", "3", "-9/8", "-1/9", "-1/2", "2/3", "1", "1", "-2/3", "1", "-9/2"]
+)
 
 
 def poch_poly_coeffs(ctx, n):
@@ -211,8 +231,7 @@ class TestLCoefficients:
 
             for N in (0, 7, 19):
                 assert l_coefficients(ctx, SPARSE, N) == per_pair_sums(ctx, SPARSE, N, weight)
-            t0 = Fraction(1, 4)
-            geometric = CoefficientStream([psi(ctx, k) * t0**k for k in range(41)], "geometric", t0)
+            geometric = geometric_stream(ctx)
             assert l_coefficients(ctx, geometric, 25) == per_pair_sums(ctx, geometric, 25, weight)
 
     def test_moments_are_read_once_per_call(self, monkeypatch):
@@ -294,12 +313,44 @@ class TestReconstruction:
         # the direct evaluation
         ctx = ctx_q("1/2")
         t0 = Fraction(1, 4)
-        stream = CoefficientStream(
-            [psi(ctx, k) * t0**k for k in range(41)], "geometric", t0
-        )
-        value = reconstruct(ctx, stream, Fraction(1, 3), 25)
+        value = reconstruct(ctx, geometric_stream(ctx, t0), Fraction(1, 3), 25)
         direct = eval_Eq(ctx, Fraction(1, 3) * t0)
         assert abs(value - direct) < mpf(10) ** -6
+
+    def test_value_rounds_the_exact_partial_sum(self):
+        contexts = GRID + [QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 128)]
+        for ctx in contexts:
+            for stream, N in ((TWELVE, 11), (SPARSE, 19), (geometric_stream(ctx), 25)):
+                poly = reconstruct_poly(ctx, stream, N)
+                for z in (Fraction(1, 3), Fraction(-5, 7)):
+                    with mp.workprec(400):
+                        exact = to_mpf(poly(z))
+                        error = abs(reconstruct(ctx, stream, z, N) - exact)
+                        assert error <= abs(exact) * mpf(2) ** -ctx.float_precision_bits
+
+    def test_matches_the_per_degree_sum(self):
+        for ctx in GRID:
+            for N in (0, 7, 19):
+                assert reconstruct_poly(ctx, SPARSE, N) == per_degree_sum(ctx, SPARSE, N)
+            stream = geometric_stream(ctx)
+            assert reconstruct_poly(ctx, stream, 25) == per_degree_sum(ctx, stream, 25)
+
+    def test_numbers_are_read_once_per_call(self, monkeypatch):
+        ctx = ctx_q("1/2")
+        reads = []
+
+        def counted(c, kind, n):
+            reads.append((kind, n))
+            return _numbers(c, kind, n)
+
+        monkeypatch.setattr(expand, "_numbers", counted)
+        reconstruct_poly(ctx, SPARSE, 19)
+        assert reads == [(2, 16)]  # up to the last nonzero L_n
+        reconstruct_poly(ctx, SPARSE, 7)
+        assert reads == [(2, 16), (2, 7)]
+        reconstruct_poly(ctx, CoefficientStream.finite([0, 0, 0]), 2)
+        reconstruct_poly(ctx, CoefficientStream.finite([]), 2)
+        assert reads == [(2, 16), (2, 7)]
 
     def test_monomial_identity_with_moment_weights(self):
         # sum_k [n k]_q mu_k B_(n-k) = q^(n(n-1)/2) z^n, exactly
