@@ -186,12 +186,16 @@ _contexts: dict = {}  # least recently used first
 @dataclass
 class ContextCache:
     """Everything memoised for one context, in append-only lists: O(N) per kind to degree N.
-    ``exponentials`` holds the row w_m / [m]_q! every exact polynomial and series reads."""
+    ``exponentials`` holds the row w_m / [m]_q! every exact polynomial and series reads.
+    ``denominators`` and ``oracle`` are the generating-function oracle's own rows, written and
+    read by :mod:`qbernoulli.series` alone; the determinant route never reads them."""
 
     factorials: list = field(default_factory=lambda: [Fraction(1)])
     exponentials: dict = field(default_factory=dict)  # kind -> [w_0/[0]_q!, w_1/[1]_q!, ...]
     moments: dict = field(default_factory=dict)  # kind -> [mu_0, mu_1, ...]
     numbers: dict = field(default_factory=dict)  # kind -> [b_0, b_1, ...], b_n = B_n(0)/[n]_q!
+    denominators: dict = field(default_factory=dict)  # kind -> [g_0, g_2, g_4, ...]
+    oracle: dict = field(default_factory=dict)  # kind -> [s_0, s_1, ...], s = h/g
     zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult
     frames: dict = field(default_factory=dict)  # (kind, precision) -> asympt._Frame
 

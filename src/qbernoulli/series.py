@@ -8,10 +8,13 @@ z**i coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i),
 with w_i the exponential's weight (:func:`appell_poly`).  The read-off,
 the exponential series and so the oracle's h read w_m / [m]_q! from one
 cached row per context and kind (:func:`_exp_row`).  The oracle
-takes s = h/g, dividing by the even coefficients of g alone; one division
-to order N serves every degree 0..N (:func:`_oracle_table`).  It uses no
-moments, no recurrence and no q-binomials, so it stays independent of
-:mod:`qbernoulli.detrep`, which takes s from the moments.
+takes s = h/g, dividing by the even coefficients of g alone.  It keeps its
+own two rows per context and kind, the even coefficients of g and s itself,
+each extended by new degrees only, and one s row serves every degree
+(:func:`_oracle_table`); :mod:`qbernoulli.detrep` never reads them.  The
+oracle's independence rests on its inputs and formulas: it uses no
+moments, no recurrence and no q-binomials, where detrep takes s from the
+moments.
 :func:`gf_numerator` builds the numerator e(zt) h(t) in full; the tests
 divide it by g as the reference for the read-off.
 
@@ -233,31 +236,45 @@ def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
     return series_reciprocal(exponential_series(ctx, 3, N, 1))
 
 
+def _denominator_row(ctx: QContext, kind: int, N: int) -> list:
+    """The cached even coefficients g_0, g_2, ..., g_2K (2K >= N - 1) of this context and kind."""
+    require_exact_alpha(ctx)
+    if kind not in (1, 2, 3):
+        raise ValueError("kind must be 1, 2 or 3")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    row = context_cache(ctx).denominators.get(kind)
+    if row is None:
+        row = context_cache(ctx).denominators.setdefault(kind, [Fraction(1)])
+    with cache_lock:
+        start = len(row)
+        if start > N // 2:
+            return row
+        # running q^(2n), q^(2a+2n) and the kind's step q^(2a+4n-2) or q^(2n-1/2), seeded from
+        # their n = 1 values, so a missing root raises on the closed form's exponent
+        q2 = ctx.q**2
+        shifted = ctx.q_pow(2 * ctx.alpha + 2)
+        step = shifted if kind == 2 else ctx.q_pow_quarters(6) if kind == 3 else 1
+        grow = {1: 1, 2: q2 * q2, 3: q2}[kind]
+        q2n, shifted, step = q2**start, shifted * q2 ** (start - 1), step * grow ** (start - 1)
+        half2 = (1 - ctx.q) ** 2 / 4
+        for _ in range(start, N // 2 + 1):
+            row.append(row[-1] * half2 * step / ((1 - q2n) * (1 - shifted)))
+            q2n, shifted, step = q2n * q2, shifted * q2, step * grow
+    return row
+
+
 def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     """Even scalar series g_alpha^(kind)(i*t; q) to order N.
 
     The t**(2n) coefficient is ((1-q)t/2)^(2n) / ((q^2;q^2)_n (q^(2a+2);q^2)_n)
     with an extra factor q^(2n(alpha+n)) for kind 2 and q^(n(n+1/2)) for
-    kind 3; odd coefficients vanish.
+    kind 3; odd coefficients vanish.  The even ones are read off the
+    oracle's cached row.
     """
-    require_exact_alpha(ctx)
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
+    row = _denominator_row(ctx, kind, N)
     coeffs = [Fraction(0)] * (N + 1)
-    coeffs[0] = term = Fraction(1)
-    half2 = (1 - ctx.q) ** 2 / 4
-    q2 = ctx.q**2
-    grow = {1: 1, 2: q2 * q2, 3: q2}[kind]
-    for n in range(1, N // 2 + 1):
-        # running q^(2n), q^(2a+2n) and the kind's step q^(2a+4n-2) or q^(2n-1/2), each
-        # started at its n = 1 value, so a missing root raises on the closed form's exponent
-        if n == 1:
-            q2n, shifted = q2, ctx.q_pow(2 * ctx.alpha + 2)
-            step = shifted if kind == 2 else ctx.q_pow_quarters(6) if kind == 3 else 1
-        else:
-            q2n, shifted, step = q2n * q2, shifted * q2, step * grow
-        term *= half2 * step / ((1 - q2n) * (1 - shifted))
-        coeffs[2 * n] = term
+    coeffs[::2] = row[: N // 2 + 1]
     return TruncatedSeries(coeffs)
 
 
@@ -285,11 +302,16 @@ def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
 
 
 def _oracle_scalars(ctx: QContext, kind: int, N: int) -> list:
-    """s = h/g to order N: g is even and g_0 = 1, so s_m = h_m - sum_j g_2j s_(m-2j)."""
-    g = gf_denominator(ctx, kind, N).coeffs
-    s = list(exponential_series(ctx, kind, N, Fraction(-1, 2)).coeffs)
-    for m in range(2, N + 1):
-        s[m] -= sum(g[j] * s[m - j] for j in range(2, m + 1, 2))
+    """The cached s = h/g, s_0..s_N (at least): g is even and g_0 = 1, so
+    s_m = h_m - sum_j g_2j s_(m-2j), with h_m = w_m/[m]_q! (-1/2)^m."""
+    g, row = _denominator_row(ctx, kind, N), _exp_row(ctx, kind, N)
+    s = context_cache(ctx).oracle.get(kind)
+    if s is None:
+        s = context_cache(ctx).oracle.setdefault(kind, [])
+    with cache_lock:
+        for m in range(len(s), N + 1):
+            h = row[m] * Fraction(-1, 2) ** m
+            s.append(h - sum(g[j] * s[m - 2 * j] for j in range(1, m // 2 + 1)))
     return s
 
 
@@ -302,6 +324,6 @@ def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
 
 
 def _oracle_table(ctx: QContext, kind: int, N: int) -> list:
-    """oracle_bernoulli for every degree 0..N, read off one division."""
+    """oracle_bernoulli for every degree 0..N, read off the one cached s row."""
     s = _oracle_scalars(ctx, kind, N)
     return [appell_poly(ctx, kind, n, s) for n in range(N + 1)]

@@ -19,6 +19,7 @@ from qbernoulli import (
     q_factorial,
     q_int,
 )
+from qbernoulli import detrep
 from qbernoulli.detrep import _bareiss_det
 from qbernoulli.qcore import context_cache
 from qbernoulli.series import exp_weight, expq_reciprocal_series
@@ -284,3 +285,35 @@ class TestTableCache:
             assert len(cache.moments[kind]) == 41
             assert len(cache.numbers[kind]) == 41
             assert all(isinstance(b, Fraction) for b in cache.numbers[kind])
+
+
+class TestOracleIndependence:
+    def test_cold_oracle_reads_no_moments_or_numbers(self, monkeypatch):
+        reference = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4), 164)
+        cold = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4), 165)
+        expected = {kind: [bernoulli_poly_det(reference, kind, n) for n in range(13)] for kind in (1, 2, 3)}
+
+        def refuse(*args):
+            raise AssertionError("the oracle read the determinant route's rows")
+
+        monkeypatch.setattr(detrep, "_moments", refuse)
+        monkeypatch.setattr(detrep, "_numbers", refuse)
+        for kind in (1, 2, 3):
+            assert [oracle_bernoulli(cold, kind, n) for n in range(13)] == expected[kind]
+
+    def test_a_corrupted_row_breaks_the_agreement(self):
+        # one wrong number or one wrong s entry shows from its degree on
+        ctx = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2), 166)
+        cache = context_cache(ctx)
+        for kind in (1, 2, 3):
+            for n in range(9):
+                assert bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
+            for row in (cache.numbers[kind], cache.oracle[kind]):
+                saved = row[5]
+                row[5] = saved + 1
+                try:
+                    for n in range(9):
+                        agree = bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
+                        assert agree == (n < 5)
+                finally:
+                    row[5] = saved

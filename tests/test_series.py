@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qbernoulli import (
+    ExactModeError,
     PolyZ,
     QBernError,
     QContext,
@@ -17,8 +20,10 @@ from qbernoulli import (
     series_mul,
     series_reciprocal,
 )
+from qbernoulli.qcore import context_cache
 from qbernoulli.series import (
     _exp_row,
+    _oracle_scalars,
     _oracle_table,
     exp_weight,
     exponential_series,
@@ -141,20 +146,44 @@ class TestGeneratingFunction:
             assert all(series.coefficient(m) == 0 for m in range(1, 10, 2))
 
     def test_denominator_running_product_matches_pochhammers(self):
-        # each even coefficient formed from scratch by the closed form
-        ctx = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4))
-        q, alpha = ctx.q, ctx.alpha
-        for kind in (1, 2, 3):
-            series = gf_denominator(ctx, kind, 20)
-            for n in range(11):
-                expected = ((1 - q) / 2) ** (2 * n) / (
-                    q_pochhammer(q**2, q**2, n) * q_pochhammer(ctx.q_pow(2 * alpha + 2), q**2, n)
-                )
-                if kind == 2:
-                    expected *= ctx.q_pow(2 * n * alpha + 2 * n * n)
-                elif kind == 3:
-                    expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
-                assert series.coefficient(2 * n) == expected
+        # each even coefficient formed from scratch by the closed form, against
+        # the cached row built stepwise (N = 0..20) and in jumps (3 -> 11 -> 20)
+        # on cold cache entries; the reciprocal base has q > 1
+        def closed_form(ctx, kind, n):
+            q, alpha = ctx.q, ctx.alpha
+            expected = ((1 - q) / 2) ** (2 * n) / (
+                q_pochhammer(q**2, q**2, n) * q_pochhammer(ctx.q_pow(2 * alpha + 2), q**2, n)
+            )
+            if kind == 2:
+                expected *= ctx.q_pow(2 * n * alpha + 2 * n * n)
+            elif kind == 3:
+                expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
+            return expected
+
+        for steps in (range(21), (3, 11, 20)):
+            bits = 150 + len(steps)
+            cases = [(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4), bits), (1, 2, 3))]
+            cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2), bits).reciprocal_base(), (1, 2)))
+            for ctx, kinds in cases:
+                for kind in kinds:
+                    for N in steps:
+                        series = gf_denominator(ctx, kind, N)
+                        assert series.order == N
+                        for m in range(N + 1):
+                            expected = closed_form(ctx, kind, m // 2) if m % 2 == 0 else 0
+                            assert series.coefficient(m) == expected
+                    assert context_cache(ctx).denominators[kind] == [closed_form(ctx, kind, n) for n in range(11)]
+
+    def test_negative_order_is_a_value_error(self):
+        # after the exact-alpha and kind checks, which keep their messages
+        ctx = ctx_q(Fraction(1, 4))
+        for call in (gf_denominator, _oracle_table):
+            with pytest.raises(ValueError, match="N must be >= 0"):
+                call(ctx, 1, -1)
+            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                call(ctx, 4, -1)
+            with pytest.raises(ExactModeError, match="4\\*alpha"):
+                call(ctx.with_alpha(Fraction(1, 3)), 4, -1)
 
     def test_exponential_row_matches_closed_form(self):
         # the cached row, extended in two steps on cold cache entries, against
@@ -209,6 +238,72 @@ class TestGeneratingFunction:
                 assert len(table) == 17
                 for n, poly in enumerate(table):
                     assert poly == oracle_bernoulli(ctx, kind, n)
+
+
+def uncached_division(ctx, kind, N):
+    """s = h/g to order N, divided from scratch as the oracle did before it kept rows."""
+    g = gf_denominator(ctx, kind, N).coeffs
+    s = list(exponential_series(ctx, kind, N, Fraction(-1, 2)).coeffs)
+    for m in range(2, N + 1):
+        s[m] -= sum(g[j] * s[m - j] for j in range(2, m + 1, 2))
+    return s
+
+
+class TestOracleRows:
+    def test_stepwise_row_matches_one_division(self):
+        for q in (Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)):
+            for alpha in ALPHAS:
+                ctx = QContext.from_q(q, alpha, 160)
+                for kind in (1, 2, 3):
+                    for N in range(31):
+                        row = _oracle_scalars(ctx, kind, N)
+                    assert row == uncached_division(ctx, kind, 30)
+
+    def test_warm_sweep_does_no_work(self, monkeypatch):
+        ctx = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2), 161)
+        cache = context_cache(ctx)
+        q_pow = QContext.q_pow
+        for kind in (1, 2, 3):
+            first = [oracle_bernoulli(ctx, kind, n) for n in range(21)]
+            g_row, s_row = cache.denominators[kind], cache.oracle[kind]
+            g_copy, s_copy = list(g_row), list(s_row)
+            calls = []
+            monkeypatch.setattr(QContext, "q_pow", lambda self, e: calls.append(e) or q_pow(self, e))
+            assert [oracle_bernoulli(ctx, kind, n) for n in range(21)] == first
+            assert _oracle_table(ctx, kind, 20) == first
+            monkeypatch.undo()
+            assert calls == []
+            assert cache.denominators[kind] is g_row and g_row == g_copy
+            assert cache.oracle[kind] is s_row and s_row == s_copy
+            assert (len(g_row), len(s_row)) == (11, 21)
+
+    def test_two_threads_extend_one_oracle_row(self):
+        # equal q and alpha, so equal rows, but distinct cache keys
+        reference = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 162)
+        shared = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 163)
+        expected = [oracle_bernoulli(reference, 3, n) for n in range(21)]
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def extend(slot):
+            barrier.wait(timeout=30)
+            results[slot] = [oracle_bernoulli(shared, 3, n) for n in range(21)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=extend, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected, expected]
+        cache, ref = context_cache(shared), context_cache(reference)
+        assert cache.oracle[3] == ref.oracle[3] and len(cache.oracle[3]) == 21
+        assert cache.denominators[3] == ref.denominators[3] and len(cache.denominators[3]) == 11
 
 
 def scalar_reciprocal_product(ctx, kind, scale, order):
