@@ -160,8 +160,7 @@ class TestGeneratingFunction:
                 expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
             return expected
 
-        for steps in (range(21), (3, 11, 20)):
-            bits = 150 + len(steps)
+        for bits, steps in ((150, range(21)), (151, (3, 11, 20))):
             cases = [(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4), bits), (1, 2, 3))]
             cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2), bits).reciprocal_base(), (1, 2)))
             for ctx, kinds in cases:
