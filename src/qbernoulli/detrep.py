@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qcore import QContext, cache_lock, context_cache, q_binomial, q_factorial, q_int, require_exact_alpha
-from .series import PolyZ, appell_poly, exp_weight, exponential_series
+from .qcore import QContext, cached_row, q_binomial, q_factorial, q_int, require_exact_alpha
+from .series import PolyZ, _exp_row, appell_poly, exp_weight
 
 
 def _bareiss_det(rows) -> Fraction:
@@ -61,37 +61,28 @@ def _bareiss_det(rows) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], denom)
 
 
-def _moments(ctx: QContext, kind: int, m: int) -> list:
-    """The cached normalised moments mu_k / [k]_q!, k = 0..m (at least), of
-    this context and kind; a context without an exact alpha raises, also at m = 0."""
+@cached_row
+def _moments(ctx: QContext, kind: int, row):
+    """The normalised moments mu_k / [k]_q!, k = 0, 1, ..., of this context and kind;
+    a context without an exact alpha raises, also at k = 0."""
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
-    moments = context_cache(ctx).moments.get(kind)
-    if moments is None:  # m_0 = 1 needs no q-power, but only an exact context has moments
-        require_exact_alpha(ctx)
-        moments = context_cache(ctx).moments.setdefault(kind, [Fraction(1)])
-    with cache_lock:
-        if len(moments) > m:
-            return moments
-        require_exact_alpha(ctx)
-        a = ctx.alpha
-        if kind in (1, 2):
-            for j in range(len(moments), m + 1):
-                ratio = Fraction(1, 2)
-                if j > 1:
-                    ratio *= (1 - ctx.q_pow(2 * a + 2 * j - 1)) / (1 - ctx.q_pow(2 * a + j))
-                moments.append(moments[-1] * ratio / q_int(ctx, j))
-            return moments
-        h = exponential_series(ctx, 3, m, Fraction(-1, 2)).coeffs
-        # weights[k] = q^(k(k+1/2)) (1-q)^(2k) / ((q^2;q^2)_k (q^(2a+2);q^2)_k)
-        weights = [Fraction(1)]
-        for k in range(1, m // 2 + 1):
-            pair = (1 - ctx.q ** (2 * k)) * (1 - ctx.q_pow(2 * a + 2 * k))
-            weights.append(weights[-1] * ctx.q_pow_quarters(8 * k - 2) * (1 - ctx.q) ** 2 / pair)
-        for j in range(len(moments), m + 1):
-            even = weights[j // 2] / 2**j if j % 2 == 0 else 0
-            moments.append(even - sum(h[i] * moments[j - i] for i in range(1, j + 1)))
-        return moments
+    require_exact_alpha(ctx)  # m_0 = 1 needs no q-power, but only an exact context has moments
+    yield Fraction(1)
+    while kind in (1, 2):
+        j = len(row)
+        ratio = (1 - ctx.q_pow(2 * ctx.alpha + 2 * j - 1)) / (1 - ctx.q_pow(2 * ctx.alpha + j)) if j > 1 else 1
+        yield row[-1] * ratio / 2 / q_int(ctx, j)
+    # h_j = w_j/[j]_q! (-1/2)^j and weight_k = q^(k(k+1/2)) (1-q)^(2k) / ((q^2;q^2)_k (q^(2a+2);q^2)_k)
+    h, half, weight = [Fraction(1)], Fraction(1), Fraction(1)
+    while True:
+        j, half, even = len(row), half / -2, 0
+        h.append(_exp_row(ctx, 3, j)[j] * half)
+        if j % 2 == 0:
+            pair = (1 - ctx.q**j) * (1 - ctx.q_pow(2 * ctx.alpha + j))
+            weight *= ctx.q_pow_quarters(4 * j - 2) * (1 - ctx.q) ** 2 / pair
+            even = weight / 2**j
+        yield even - sum(h[i] * row[j - i] for i in range(1, j + 1))
 
 
 def mu(ctx: QContext, kind: int, m: int) -> Fraction:
@@ -135,19 +126,14 @@ def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
     return weights, tuple(rows)
 
 
-def _numbers(ctx: QContext, kind: int, n: int) -> list:
-    """The cached normalised numbers b_0..b_n (at least): b_0 = 1 and
+@cached_row
+def _numbers(ctx: QContext, kind: int, row):
+    """The normalised numbers b_0, b_1, ...: b_0 = 1 and
     b_m = -sum_{k=1..m} mu_k / [k]_q! * b_(m-k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    moments = _moments(ctx, kind, n)
-    numbers = context_cache(ctx).numbers.get(kind)
-    if numbers is None:
-        numbers = context_cache(ctx).numbers.setdefault(kind, [Fraction(1)])
-    with cache_lock:
-        for m in range(len(numbers), n + 1):
-            numbers.append(-sum(moments[k] * numbers[m - k] for k in range(1, m + 1)))
-    return numbers
+    yield _moments(ctx, kind, 0)[0]  # b_0 = mu_0 = 1, after the moments' checks
+    while True:
+        moments = _moments(ctx, kind, len(row))
+        yield -sum(moments[k] * row[-k] for k in range(1, len(row) + 1))
 
 
 def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
@@ -169,9 +155,9 @@ def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
     tested against; it agrees with bernoulli_poly_det(...)(z) and, at
     z = 0, with bernoulli_number.
     """
-    if n == 0:
+    if n == 0:  # the 1x1 determinant w_0 = 1, whose weight checks the kind
         require_exact_alpha(ctx)
-        return Fraction(1)
+        return exp_weight(ctx, kind, 0)
     z = Fraction(z)
     weights, scalar_rows = build_matrix(ctx, kind, n)
     rows = [[weights[j] * z**j for j in range(n + 1)]]

@@ -15,9 +15,10 @@ approximated on the exact paths.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
-process-wide precision).  Results worth keeping (among them the exponential
-coefficients w_m / [m]_q!) live in one cache keyed on the context, bounded
-to the CACHED_CONTEXTS most recently used.
+process-wide precision).  Results worth keeping live in one cache keyed on
+the context, bounded to the CACHED_CONTEXTS most recently used.  Its exact
+rows (q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s)
+grow only through :func:`cached_row`, where row counters and a bit budget attach.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import wraps
 
 ExactScalar = Fraction
 
@@ -177,7 +179,7 @@ class QContext:
 
 CACHED_CONTEXTS = 64
 
-# guards _contexts and every append to a cached list, so that two threads
+# guards _contexts and every extension of a cached row, so that two threads
 # never append the same index twice
 cache_lock = threading.RLock()
 _contexts: dict = {}  # least recently used first
@@ -185,17 +187,10 @@ _contexts: dict = {}  # least recently used first
 
 @dataclass
 class ContextCache:
-    """Everything memoised for one context, in append-only lists: O(N) per kind to degree N.
-    ``exponentials`` holds the row w_m / [m]_q! every exact polynomial and series reads.
-    ``denominators`` and ``oracle`` are the generating-function oracle's own rows, written and
-    read by :mod:`qbernoulli.series` alone; the determinant route never reads them."""
+    """Everything memoised for one context.  ``rows`` maps (row function, kind) to (values,
+    generator) for every exact row, O(N) per kind to degree N and grown only by :func:`cached_row`."""
 
-    factorials: list = field(default_factory=lambda: [Fraction(1)])
-    exponentials: dict = field(default_factory=dict)  # kind -> [w_0/[0]_q!, w_1/[1]_q!, ...]
-    moments: dict = field(default_factory=dict)  # kind -> [mu_0, mu_1, ...]
-    numbers: dict = field(default_factory=dict)  # kind -> [b_0, b_1, ...], b_n = B_n(0)/[n]_q!
-    denominators: dict = field(default_factory=dict)  # kind -> [g_0, g_2, g_4, ...]
-    oracle: dict = field(default_factory=dict)  # kind -> [s_0, s_1, ...], s = h/g
+    rows: dict = field(default_factory=dict)
     zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult
     frames: dict = field(default_factory=dict)  # (kind, precision) -> asympt._Frame
 
@@ -210,6 +205,32 @@ def context_cache(ctx: QContext) -> ContextCache:
         return entry
 
 
+def cached_row(terms):
+    """Decorator: terms(ctx, kind, row) yields a row's entries in order, reading earlier ones
+    from row; name(ctx, kind, n) returns the cached row, extended under cache_lock to hold
+    entries 0..n.  A raising entry drops the row, so the next call raises the same again."""
+
+    @wraps(terms)
+    def row(ctx, kind, n):
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        rows, key = context_cache(ctx).rows, (row, kind)
+        entry = rows.get(key)
+        if entry and len(entry[0]) > n:
+            return entry[0]
+        with cache_lock:
+            values, entries = rows.setdefault(key, (new := [], terms(ctx, kind, new)))
+            try:
+                while len(values) <= n:
+                    values.append(next(entries))
+            except BaseException:
+                del rows[key]
+                raise
+            return values
+
+    return row
+
+
 def require_exact_alpha(ctx: QContext):
     if not ctx.exact_alpha:
         raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % ctx.alpha)
@@ -222,15 +243,17 @@ def q_int(ctx: QContext, n: int) -> Fraction:
     return (1 - ctx.q**n) / (1 - ctx.q)
 
 
+@cached_row
+def _factorials(ctx: QContext, kind, row):
+    """[0]_q!, [1]_q!, ...; one row per context, whatever the kind."""
+    yield Fraction(1)
+    while True:
+        yield row[-1] * q_int(ctx, len(row))
+
+
 def q_factorials(ctx: QContext, n: int) -> list:
     """The cached list [0]_q!, [1]_q!, ..., at least up to [n]_q!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    facts = context_cache(ctx).factorials
-    with cache_lock:
-        for m in range(len(facts), n + 1):
-            facts.append(facts[-1] * q_int(ctx, m))
-    return facts
+    return _factorials(ctx, None, n)
 
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:

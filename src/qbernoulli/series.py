@@ -8,10 +8,10 @@ z**i coefficient of the degree-n member is [n]_q!/[i]_q! w_i s_(n-i),
 with w_i the exponential's weight (:func:`appell_poly`).  The read-off,
 the exponential series and so the oracle's h read w_m / [m]_q! from one
 cached row per context and kind (:func:`_exp_row`).  The oracle
-takes s = h/g, dividing by the even coefficients of g alone.  It keeps its
-own two rows per context and kind, the even coefficients of g and s itself,
-each extended by new degrees only, and one s row serves every degree
-(:func:`_oracle_table`); :mod:`qbernoulli.detrep` never reads them.  The
+takes s = h/g, dividing by the even coefficients of g alone.  Its own two
+rows, g's even coefficients and s, are cached rows too (every exact row grows
+through :func:`qbernoulli.qcore.cached_row`); one s row serves every degree
+(:func:`_oracle_table`), and :mod:`qbernoulli.detrep` never reads them.  The
 oracle's independence rests on its inputs and formulas: it uses no
 moments, no recurrence and no q-binomials, where detrep takes s from the
 moments.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import QBernError, QContext, cache_lock, context_cache, q_factorials, require_exact_alpha
+from .qcore import QBernError, QContext, cached_row, q_factorials, require_exact_alpha
 
 
 class PolyZ:
@@ -201,16 +201,12 @@ def exp_weight(ctx: QContext, kind: int, m: int) -> Fraction:
     raise ValueError("kind must be 1, 2 or 3")
 
 
-def _exp_row(ctx: QContext, kind: int, N: int) -> list:
-    """The cached coefficients w_m / [m]_q!, m = 0..N (at least), of this context and kind."""
-    facts = q_factorials(ctx, N)
-    row = context_cache(ctx).exponentials.get(kind)
-    if row is None:
-        row = context_cache(ctx).exponentials.setdefault(kind, [])
-    with cache_lock:
-        for m in range(len(row), N + 1):
-            row.append(exp_weight(ctx, kind, m) / facts[m])
-    return row
+@cached_row
+def _exp_row(ctx: QContext, kind: int, row):
+    """The coefficients w_m / [m]_q!, m = 0, 1, ..., of this context and kind."""
+    while True:
+        m = len(row)
+        yield exp_weight(ctx, kind, m) / q_factorials(ctx, m)[m]
 
 
 def exponential_series(ctx: QContext, kind: int, N: int, scale) -> TruncatedSeries:
@@ -236,6 +232,20 @@ def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
     return series_reciprocal(exponential_series(ctx, 3, N, 1))
 
 
+@cached_row
+def _even_row(ctx: QContext, kind: int, row):
+    """g_0, g_2, g_4, ... of this context and kind."""
+    yield Fraction(1)
+    # running q^(2n), q^(2a+2n) and step q^(2a+4n-2) or q^(2n-1/2), from n = 1: a missing root raises
+    q2, half2 = ctx.q**2, (1 - ctx.q) ** 2 / 4
+    q2n, shifted = q2, ctx.q_pow(2 * ctx.alpha + 2)
+    step = shifted if kind == 2 else ctx.q_pow_quarters(6) if kind == 3 else 1
+    grow = {1: 1, 2: q2 * q2, 3: q2}[kind]
+    while True:
+        yield row[-1] * half2 * step / ((1 - q2n) * (1 - shifted))
+        q2n, shifted, step = q2n * q2, shifted * q2, step * grow
+
+
 def _denominator_row(ctx: QContext, kind: int, N: int) -> list:
     """The cached even coefficients g_0, g_2, ..., g_2K (2K >= N - 1) of this context and kind."""
     require_exact_alpha(ctx)
@@ -243,25 +253,7 @@ def _denominator_row(ctx: QContext, kind: int, N: int) -> list:
         raise ValueError("kind must be 1, 2 or 3")
     if N < 0:
         raise ValueError("N must be >= 0")
-    row = context_cache(ctx).denominators.get(kind)
-    if row is None:
-        row = context_cache(ctx).denominators.setdefault(kind, [Fraction(1)])
-    with cache_lock:
-        start = len(row)
-        if start > N // 2:
-            return row
-        # running q^(2n), q^(2a+2n) and the kind's step q^(2a+4n-2) or q^(2n-1/2), seeded from
-        # their n = 1 values, so a missing root raises on the closed form's exponent
-        q2 = ctx.q**2
-        shifted = ctx.q_pow(2 * ctx.alpha + 2)
-        step = shifted if kind == 2 else ctx.q_pow_quarters(6) if kind == 3 else 1
-        grow = {1: 1, 2: q2 * q2, 3: q2}[kind]
-        q2n, shifted, step = q2**start, shifted * q2 ** (start - 1), step * grow ** (start - 1)
-        half2 = (1 - ctx.q) ** 2 / 4
-        for _ in range(start, N // 2 + 1):
-            row.append(row[-1] * half2 * step / ((1 - q2n) * (1 - shifted)))
-            q2n, shifted, step = q2n * q2, shifted * q2, step * grow
-    return row
+    return _even_row(ctx, kind, N // 2)
 
 
 def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
@@ -301,18 +293,16 @@ def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
     return PolyZ([f * row[i] * s[n - i] for i in range(n + 1)])
 
 
-def _oracle_scalars(ctx: QContext, kind: int, N: int) -> list:
-    """The cached s = h/g, s_0..s_N (at least): g is even and g_0 = 1, so
-    s_m = h_m - sum_j g_2j s_(m-2j), with h_m = w_m/[m]_q! (-1/2)^m."""
-    g, row = _denominator_row(ctx, kind, N), _exp_row(ctx, kind, N)
-    s = context_cache(ctx).oracle.get(kind)
-    if s is None:
-        s = context_cache(ctx).oracle.setdefault(kind, [])
-    with cache_lock:
-        for m in range(len(s), N + 1):
-            h = row[m] * Fraction(-1, 2) ** m
-            s.append(h - sum(g[j] * s[m - 2 * j] for j in range(1, m // 2 + 1)))
-    return s
+@cached_row
+def _oracle_scalars(ctx: QContext, kind: int, s):
+    """s = h/g: g is even and g_0 = 1, so s_m = h_m - sum_j g_2j s_(m-2j),
+    with h_m = w_m/[m]_q! (-1/2)^m."""
+    half = Fraction(1)
+    while True:
+        m = len(s)
+        g, h = _denominator_row(ctx, kind, m), _exp_row(ctx, kind, m)[m] * half
+        yield h - sum(g[j] * s[m - 2 * j] for j in range(1, m // 2 + 1))
+        half /= -2
 
 
 def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
@@ -325,5 +315,6 @@ def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
 
 def _oracle_table(ctx: QContext, kind: int, N: int) -> list:
     """oracle_bernoulli for every degree 0..N, read off the one cached s row."""
+    _denominator_row(ctx, kind, N)  # its checks of alpha, kind and N come first
     s = _oracle_scalars(ctx, kind, N)
     return [appell_poly(ctx, kind, n, s) for n in range(N + 1)]

@@ -20,9 +20,9 @@ from qbernoulli import (
     q_int,
 )
 from qbernoulli import detrep
-from qbernoulli.detrep import _bareiss_det
+from qbernoulli.detrep import _bareiss_det, _moments, _numbers
 from qbernoulli.qcore import context_cache
-from qbernoulli.series import exp_weight, expq_reciprocal_series
+from qbernoulli.series import _exp_row, _oracle_scalars, exp_weight, expq_reciprocal_series
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
 ALPHAS = [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -115,6 +115,28 @@ class TestMu:
                 bernoulli_poly_det(ctx, kind, 0)
             with pytest.raises(ExactModeError, match="got alpha=1/3"):
                 bernoulli_poly_value(ctx, kind, 0, Fraction(1, 3))
+        # at n = 0 as at n >= 1, a bad kind raises after the exact-alpha check
+        for kind in (0, 4):
+            with pytest.raises(ExactModeError, match="got alpha=1/3"):
+                bernoulli_poly_value(ctx, kind, 0, Fraction(1, 3))
+            for n in (0, 1):
+                with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                    bernoulli_poly_value(ctx.with_alpha(Fraction(1, 2)), kind, n, Fraction(1, 3))
+
+    def test_kind3_moments_stepwise_compute_each_weight_once(self, monkeypatch):
+        # built one degree at a time, the kind-3 moments take as many q-powers as in
+        # one call: h and the Bessel weights run on, not rebuilt per extension
+        counts = []
+        for bits, steps in ((140, range(13)), (141, (12,))):
+            ctx = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), bits)
+            calls = []
+            q_pow_quarters = QContext.q_pow_quarters
+            monkeypatch.setattr(QContext, "q_pow_quarters", lambda self, m: calls.append(m) or q_pow_quarters(self, m))
+            for m in steps:
+                _moments(ctx, 3, m)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestBuildMatrix:
@@ -265,12 +287,12 @@ class TestTableCache:
         assert not any(thread.is_alive() for thread in threads)
         for result in results:
             assert result == [expected[14]] + expected[:14]
-        cache = context_cache(shared)
-        assert cache.numbers[3] == context_cache(reference).numbers[3]
-        assert len(cache.numbers[3]) == 15
-        assert len(cache.moments[3]) == 15
-        assert len(cache.exponentials[3]) == 15
-        assert cache.exponentials[3] == context_cache(reference).exponentials[3]
+        rows, ref = context_cache(shared).rows, context_cache(reference).rows
+        assert rows[_numbers, 3][0] == ref[_numbers, 3][0]
+        assert len(rows[_numbers, 3][0]) == 15
+        assert len(rows[_moments, 3][0]) == 15
+        assert len(rows[_exp_row, 3][0]) == 15
+        assert rows[_exp_row, 3][0] == ref[_exp_row, 3][0]
 
     def test_cache_holds_numbers_not_polynomials(self):
         # memory per context is O(N): after degree-40 tables of every kind
@@ -280,11 +302,11 @@ class TestTableCache:
             for n in range(41):
                 bernoulli_poly_det(ctx, kind, n)
         cache = context_cache(ctx)
-        assert "polys" not in {f.name for f in dataclasses.fields(cache)}
+        assert [f.name for f in dataclasses.fields(cache)] == ["rows", "zeros", "frames"]
         for kind in (1, 2, 3):
-            assert len(cache.moments[kind]) == 41
-            assert len(cache.numbers[kind]) == 41
-            assert all(isinstance(b, Fraction) for b in cache.numbers[kind])
+            assert len(cache.rows[_moments, kind][0]) == 41
+            assert len(cache.rows[_numbers, kind][0]) == 41
+            assert all(isinstance(b, Fraction) for b in cache.rows[_numbers, kind][0])
 
 
 class TestOracleIndependence:
@@ -308,7 +330,7 @@ class TestOracleIndependence:
         for kind in (1, 2, 3):
             for n in range(9):
                 assert bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
-            for row in (cache.numbers[kind], cache.oracle[kind]):
+            for row in (cache.rows[_numbers, kind][0], cache.rows[_oracle_scalars, kind][0]):
                 saved = row[5]
                 row[5] = saved + 1
                 try:

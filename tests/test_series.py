@@ -22,6 +22,7 @@ from qbernoulli import (
 )
 from qbernoulli.qcore import context_cache
 from qbernoulli.series import (
+    _even_row,
     _exp_row,
     _oracle_scalars,
     _oracle_table,
@@ -171,7 +172,8 @@ class TestGeneratingFunction:
                         for m in range(N + 1):
                             expected = closed_form(ctx, kind, m // 2) if m % 2 == 0 else 0
                             assert series.coefficient(m) == expected
-                    assert context_cache(ctx).denominators[kind] == [closed_form(ctx, kind, n) for n in range(11)]
+                    g_row = context_cache(ctx).rows[_even_row, kind][0]
+                    assert g_row == [closed_form(ctx, kind, n) for n in range(11)]
 
     def test_negative_order_is_a_value_error(self):
         # after the exact-alpha and kind checks, which keep their messages
@@ -200,6 +202,21 @@ class TestGeneratingFunction:
                 assert len(row) == 41
                 for m in range(41):
                     assert row[m] == exp_weight(ctx, kind, m) / q_factorial(ctx, m)
+
+    def test_a_raising_row_leaves_no_state(self):
+        # a bad kind leaves no row behind, and a missing root raises the same error
+        # on every call (a dead generator left cached would raise StopIteration)
+        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 138)
+        with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+            gf_numerator(ctx, 4, 3)
+        assert [key for key in context_cache(ctx).rows if key[1] == 4] == []
+        rootless = QContext.from_q(Fraction(1, 2), Fraction(1, 2))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ExactModeError) as error:
+                exponential_series(rootless, 3, 4, 1)
+            messages.append(str(error.value))
+        assert messages == ["exact q**(1/2) needs a rational square root of q=1/2"] * 2
 
     def test_numerator_low_coefficients(self):
         ctx = ctx_q(Fraction(1, 4))
@@ -264,7 +281,7 @@ class TestOracleRows:
         q_pow = QContext.q_pow
         for kind in (1, 2, 3):
             first = [oracle_bernoulli(ctx, kind, n) for n in range(21)]
-            g_row, s_row = cache.denominators[kind], cache.oracle[kind]
+            g_row, s_row = cache.rows[_even_row, kind][0], cache.rows[_oracle_scalars, kind][0]
             g_copy, s_copy = list(g_row), list(s_row)
             calls = []
             monkeypatch.setattr(QContext, "q_pow", lambda self, e: calls.append(e) or q_pow(self, e))
@@ -272,8 +289,8 @@ class TestOracleRows:
             assert _oracle_table(ctx, kind, 20) == first
             monkeypatch.undo()
             assert calls == []
-            assert cache.denominators[kind] is g_row and g_row == g_copy
-            assert cache.oracle[kind] is s_row and s_row == s_copy
+            assert cache.rows[_even_row, kind][0] is g_row and g_row == g_copy
+            assert cache.rows[_oracle_scalars, kind][0] is s_row and s_row == s_copy
             assert (len(g_row), len(s_row)) == (11, 21)
 
     def test_two_threads_extend_one_oracle_row(self):
@@ -300,9 +317,10 @@ class TestOracleRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected, expected]
-        cache, ref = context_cache(shared), context_cache(reference)
-        assert cache.oracle[3] == ref.oracle[3] and len(cache.oracle[3]) == 21
-        assert cache.denominators[3] == ref.denominators[3] and len(cache.denominators[3]) == 11
+        rows, ref = context_cache(shared).rows, context_cache(reference).rows
+        s_row, g_row = rows[_oracle_scalars, 3][0], rows[_even_row, 3][0]
+        assert s_row == ref[_oracle_scalars, 3][0] and len(s_row) == 21
+        assert g_row == ref[_even_row, 3][0] and len(g_row) == 11
 
 
 def scalar_reciprocal_product(ctx, kind, scale, order):
