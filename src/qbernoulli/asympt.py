@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import DomainError, QBernError, QContext, context_cache, q_factorial
+from .qcore import DomainError, QBernError, QContext, cached, q_factorial
 from .detrep import bernoulli_poly_det
 from .qfun import (
     QTrigKind,
@@ -185,12 +185,11 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
     ctx.require_numeric()
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
-    precision = ctx.float_precision_bits if precision is None else precision
-    zeros = context_cache(ctx).zeros
-    cached = zeros.get((kind, precision))
-    if cached is not None:
-        return cached
+    return _first_zero(ctx, kind, ctx.float_precision_bits if precision is None else precision)
 
+
+@cached
+def _first_zero(ctx: QContext, kind: int, precision: int) -> ZeroResult:
     def evaluate(x, wp):
         return modified_bessel_certified(ctx, kind, 2, x, precision=wp - 40)
 
@@ -204,13 +203,7 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
         lo, hi = bracket_first_zero(evaluate, initial, precision, search_cap=cap)
         lo, hi, location = bisect_zero(evaluate, lo, hi, precision)
         value, bound = evaluate(location, precision + 40)
-        result = ZeroResult(
-            location=location,
-            certified_interval=(lo, hi),
-            residual=abs(value) + bound,
-        )
-    zeros[(kind, precision)] = result
-    return result
+        return ZeroResult(location=location, certified_interval=(lo, hi), residual=abs(value) + bound)
 
 
 _NAMED = {
@@ -284,11 +277,8 @@ class _Frame:
     sin_bound: mpf
 
 
+@cached
 def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
-    frames = context_cache(ctx).frames
-    cached = frames.get((kind, precision))
-    if cached is not None:
-        return cached
     zero = smallest_zero(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
     with mp.workprec(precision + 40):
@@ -302,10 +292,9 @@ def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
         )
         cos_at_c, cos_bound = qtrig_certified(ctx, cos_kind, constant, precision=precision)
         sin_at_c, sin_bound = qtrig_certified(ctx, sin_kind, constant, precision=precision)
-    frame = frames[(kind, precision)] = _Frame(
+    return _Frame(
         constant, constant_width, prefactor, derivative, cos_at_c, cos_bound, sin_at_c, sin_bound
     )
-    return frame
 
 
 def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
@@ -330,11 +319,10 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
         if n % 2 == 0:
             parity = "even"
             combination = cos_at_2cz * frame.cos_at_c + sin_at_2cz * frame.sin_at_c
-            sign = mpf(-1) ** (n // 2 + 1)
         else:
             parity = "odd"
             combination = sin_at_2cz * frame.cos_at_c - cos_at_2cz * frame.sin_at_c
-            sign = mpf(-1) ** ((n - 1) // 2 + 1)
+        sign = mpf(-1) ** (n // 2 + 1)
         # indeterminacy certificate for the combination: series bounds plus
         # the zero-location uncertainty times a crude Lipschitz allowance
         magnitudes = abs(frame.cos_at_c) + abs(frame.sin_at_c) + abs(cos_at_2cz) + abs(sin_at_2cz)
@@ -381,34 +369,13 @@ def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:
     meaningless; such rows are flagged "indeterminate" instead.
     """
     z = Fraction(z)
-    precision = ctx.float_precision_bits
     rows = []
     for n in n_list:
         exact = bernoulli_poly_det(ctx, kind, n)(z)
         term = leading_term(ctx, kind, n, z)
-        with mp.workprec(precision + 40):
+        with mp.workprec(ctx.float_precision_bits + 40):
             float_value = to_mpf(exact)
-            combination = term.components["trig_combination"]
-            if abs(combination) <= term.components["trig_combination_noise"]:
-                rows.append(
-                    RatioRow(
-                        n=n,
-                        exact_value=exact,
-                        float_value=float_value,
-                        leading=term.value,
-                        abs_ratio_minus_1=None,
-                        flag="indeterminate",
-                    )
-                )
-                continue
-            ratio = abs(float_value / term.value - 1)
-        rows.append(
-            RatioRow(
-                n=n,
-                exact_value=exact,
-                float_value=float_value,
-                leading=term.value,
-                abs_ratio_minus_1=ratio,
-            )
-        )
+            noisy = abs(term.components["trig_combination"]) <= term.components["trig_combination_noise"]
+            flag, ratio = ("indeterminate", None) if noisy else (None, abs(float_value / term.value - 1))
+        rows.append(RatioRow(n, exact, float_value, term.value, ratio, flag))
     return rows

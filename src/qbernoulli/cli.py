@@ -20,7 +20,7 @@ import click
 # so that poly, numbers and --help start without loading the numeric modules
 from .detrep import bernoulli_number, bernoulli_poly_det
 from .qcore import QBernError, QContext
-from .series import _oracle_table
+from .series import oracle_bernoulli
 
 EXIT_DOMAIN = 3
 
@@ -112,18 +112,18 @@ class _Main(click.Group):
             ctx.exit(EXIT_DOMAIN)
 
 
-def _table(n_max: int, via: str, det, oracle_table) -> list[dict]:
-    """Rows n = 0..n_max: det(n), the oracle table's entry n, or both and whether they
-    match.  det runs first, so its error is the one reported if both routes fail."""
+def _table(n_max: int, via: str, det, oracle) -> list[dict]:
+    """Rows n = 0..n_max: det(n), oracle(n), or both and whether they match.
+    det runs first, so its error is the one reported if both routes fail."""
     rows = [{"n": n} for n in range(n_max + 1)]
     if via in ("det", "both"):
         for row in rows:
             row["det"] = det(row["n"])
     if via in ("oracle", "both"):
-        for row, value in zip(rows, oracle_table()):
-            row["oracle"] = value
+        for row in rows:
+            row["oracle"] = oracle(row["n"])
             if via == "both":
-                row["match"] = row["det"] == value
+                row["match"] = row["det"] == row["oracle"]
     return rows
 
 
@@ -142,7 +142,7 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Polynomial coefficient tables for degrees 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
     rows = _table(n_max, via, lambda n: bernoulli_poly_det(ctx, kind, n).to_strings(),
-                  lambda: [p.to_strings() for p in _oracle_table(ctx, kind, n_max)])
+                  lambda n: oracle_bernoulli(ctx, kind, n).to_strings())
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("poly", params, rows, fmt))
@@ -168,7 +168,7 @@ def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     """Number tables (the polynomials at z = 0) for indices 0..N."""
     ctx = _context(q_quarter, q_value, alpha, precision)
     rows = _table(n_max, via, lambda n: str(bernoulli_number(ctx, kind, n)),
-                  lambda: [str(p.coefficient(0)) for p in _oracle_table(ctx, kind, n_max)])
+                  lambda n: str(oracle_bernoulli(ctx, kind, n).coefficient(0)))
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     if fmt == "json":
         _emit_json(_record("numbers", params, rows, fmt))

@@ -197,6 +197,8 @@ def _tail_geometry(ctx: QContext):
     smallest m that makes it at least 1/2, up to _MAX_PRODUCT_FACTORS.
     """
     q = ctx.q
+    if not 0 < q < 1:
+        raise QBernError("cannot truncate: (q;q)_inf and the moment envelope need 0 < q < 1, got q = %s" % q)
     d = 1 - ctx.q_pow(2 * ctx.alpha + 2)
     sigma = (1 - q) / (2 * d)
     m = 40

@@ -15,17 +15,19 @@ approximated on the exact paths.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
-process-wide precision).  Results worth keeping live in one cache keyed on
-the context, bounded to the CACHED_CONTEXTS most recently used.  Its exact
-rows (q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s)
-grow only through :func:`cached_row`, where row counters and a bit budget attach.
+process-wide precision).  Results worth keeping live in one dict per
+context, bounded to the CACHED_CONTEXTS most recently used.  Its exact rows
+(q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s) grow
+only through :func:`cached_row`, and its numeric results (first zeros,
+leading-term frames) are memoised only by :func:`cached`, so counters or a
+byte budget need attach at those two decorators alone.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import wraps
 
@@ -185,21 +187,12 @@ cache_lock = threading.RLock()
 _contexts: dict = {}  # least recently used first
 
 
-@dataclass
-class ContextCache:
-    """Everything memoised for one context.  ``rows`` maps (row function, kind) to (values,
-    generator) for every exact row, O(N) per kind to degree N and grown only by :func:`cached_row`."""
-
-    rows: dict = field(default_factory=dict)
-    zeros: dict = field(default_factory=dict)  # (kind, precision) -> asympt.ZeroResult
-    frames: dict = field(default_factory=dict)  # (kind, precision) -> asympt._Frame
-
-
-def context_cache(ctx: QContext) -> ContextCache:
-    """The cache entry of ctx, created cold if absent."""
+def context_cache(ctx: QContext) -> dict:
+    """The cache entry of ctx, created cold if absent: one dict of :func:`cached_row` rows and
+    :func:`cached` results."""
     with cache_lock:
-        entry = _contexts.pop(ctx, None) or ContextCache()
-        _contexts[ctx] = entry
+        entry = _contexts.pop(ctx, None)
+        _contexts[ctx] = entry = {} if entry is None else entry
         if len(_contexts) > CACHED_CONTEXTS:
             del _contexts[next(iter(_contexts))]
         return entry
@@ -214,7 +207,7 @@ def cached_row(terms):
     def row(ctx, kind, n):
         if n < 0:
             raise ValueError("n must be >= 0")
-        rows, key = context_cache(ctx).rows, (row, kind)
+        rows, key = context_cache(ctx), (row, kind)
         entry = rows.get(key)
         if entry and len(entry[0]) > n:
             return entry[0]
@@ -229,6 +222,20 @@ def cached_row(terms):
             return values
 
     return row
+
+
+def cached(compute):
+    """Decorator: name(ctx, *args) returns compute(ctx, *args), memoised under (compute,) + args
+    in the context's cache.  It computes outside cache_lock, so a race computes an equal value twice."""
+
+    @wraps(compute)
+    def memo(ctx, *args):
+        values, key = context_cache(ctx), (compute,) + args
+        if key not in values:
+            values[key] = compute(ctx, *args)
+        return values[key]
+
+    return memo
 
 
 def require_exact_alpha(ctx: QContext):

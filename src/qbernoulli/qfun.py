@@ -310,6 +310,8 @@ def eval_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf:
 
 
 def _phi_sum(ctx: QContext, uppers, lowers, arg, terms):
+    if terms is not None and terms < 0:
+        raise ValueError("the term count must be >= 0, got %s" % terms)
     q = ctx.q
     arg = Fraction(arg)
     uppers = [Fraction(u) for u in uppers]

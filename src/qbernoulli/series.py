@@ -11,7 +11,7 @@ cached row per context and kind (:func:`_exp_row`).  The oracle
 takes s = h/g, dividing by the even coefficients of g alone.  Its own two
 rows, g's even coefficients and s, are cached rows too (every exact row grows
 through :func:`qbernoulli.qcore.cached_row`); one s row serves every degree
-(:func:`_oracle_table`), and :mod:`qbernoulli.detrep` never reads them.  The
+of :func:`oracle_bernoulli`, and :mod:`qbernoulli.detrep` never reads them.  The
 oracle's independence rests on its inputs and formulas: it uses no
 moments, no recurrence and no q-binomials, where detrep takes s from the
 moments.
@@ -312,9 +312,3 @@ def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
         raise ValueError("n must be >= 0")
     return appell_poly(ctx, kind, n, _oracle_scalars(ctx, kind, n))
 
-
-def _oracle_table(ctx: QContext, kind: int, N: int) -> list:
-    """oracle_bernoulli for every degree 0..N, read off the one cached s row."""
-    _denominator_row(ctx, kind, N)  # its checks of alpha, kind and N come first
-    s = _oracle_scalars(ctx, kind, N)
-    return [appell_poly(ctx, kind, n, s) for n in range(N + 1)]

@@ -16,9 +16,8 @@ from qbernoulli import (
     ratio_diagnostic,
     smallest_zero,
 )
-from qbernoulli import asympt
-from qbernoulli.asympt import bisect_zero
-from qbernoulli.qcore import ContextCache
+from qbernoulli import asympt, qcore
+from qbernoulli.asympt import _frame, bisect_zero
 from qbernoulli.qfun import modified_bessel_certified, qtrig_certified, to_mpf
 
 # independently frozen from a first run at elevated precision
@@ -61,6 +60,14 @@ class TestSmallestZero:
         with pytest.raises(DomainError, match="no zero found in search range"):
             smallest_zero(ctx_q("1/2"), 1)
 
+    def test_default_precision_shares_the_explicit_entry(self, monkeypatch):
+        ctx = ctx_q("1/2", bits=136)
+        first = smallest_zero(ctx, 2)
+        calls = []
+        monkeypatch.setattr(asympt, "modified_bessel_certified", lambda *args, **kw: calls.append(args))
+        assert smallest_zero(ctx, 2, ctx.float_precision_bits) is first
+        assert calls == []
+
     def test_precision_scaling(self):
         coarse = smallest_zero(ctx_q("1/2", bits=64), 2, precision=64)
         fine = smallest_zero(ctx_q("1/2", bits=160), 2, precision=160)
@@ -91,7 +98,7 @@ class TestRefinement:
             return modified_bessel_certified(*args, **kwargs)
 
         # a cold cache entry, so the zero is located rather than looked up
-        monkeypatch.setattr(asympt, "context_cache", lambda ctx: ContextCache())
+        monkeypatch.delitem(qcore._contexts, ctx, raising=False)
         monkeypatch.setattr(asympt, "modified_bessel_certified", counting)
         result = smallest_zero(ctx, kind, 128)
         lo, hi = result.certified_interval
@@ -217,6 +224,24 @@ class TestLeadingTerm:
             sin_at_c, _ = qtrig_certified(ctx, sin_kind, constant, precision=128)
             assert frame_even.components["trig_combination"] == cos_at_c
             assert frame_odd.components["trig_combination"] == 0 - sin_at_c
+
+    def test_frame_is_computed_once_per_kind_and_precision(self, monkeypatch):
+        ctx = ctx_q("1/2", bits=132)
+        derivative = asympt.modified_bessel_derivative_certified
+        calls = []
+
+        def counting(ctx, kind, x, precision):
+            calls.append((kind, precision))
+            return derivative(ctx, kind, x, precision=precision)
+
+        monkeypatch.setattr(asympt, "modified_bessel_derivative_certified", counting)
+        for kind in (2, 3):
+            for n in (1, 2, 5):
+                leading_term(ctx, kind, n, Fraction(1, 3))
+        assert _frame(ctx, 2, 132) is _frame(ctx, 2, 132)
+        _frame(ctx, 2, 96)
+        _frame(ctx, 2, 96)
+        assert calls == [(2, 132), (3, 132), (2, 96)]
 
     def test_requires_positive_degree(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import threading
 from fractions import Fraction
@@ -21,7 +20,7 @@ from qbernoulli import (
 )
 from qbernoulli import detrep
 from qbernoulli.detrep import _bareiss_det, _moments, _numbers
-from qbernoulli.qcore import context_cache
+from qbernoulli.qcore import _factorials, context_cache
 from qbernoulli.series import _exp_row, _oracle_scalars, exp_weight, expq_reciprocal_series
 
 SQUARE_QS = [Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)]
@@ -287,7 +286,7 @@ class TestTableCache:
         assert not any(thread.is_alive() for thread in threads)
         for result in results:
             assert result == [expected[14]] + expected[:14]
-        rows, ref = context_cache(shared).rows, context_cache(reference).rows
+        rows, ref = context_cache(shared), context_cache(reference)
         assert rows[_numbers, 3][0] == ref[_numbers, 3][0]
         assert len(rows[_numbers, 3][0]) == 15
         assert len(rows[_moments, 3][0]) == 15
@@ -302,11 +301,12 @@ class TestTableCache:
             for n in range(41):
                 bernoulli_poly_det(ctx, kind, n)
         cache = context_cache(ctx)
-        assert [f.name for f in dataclasses.fields(cache)] == ["rows", "zeros", "frames"]
+        rows = {(row, kind) for row in (_exp_row, _moments, _numbers) for kind in (1, 2, 3)}
+        assert set(cache) == rows | {(_factorials, None)}
         for kind in (1, 2, 3):
-            assert len(cache.rows[_moments, kind][0]) == 41
-            assert len(cache.rows[_numbers, kind][0]) == 41
-            assert all(isinstance(b, Fraction) for b in cache.rows[_numbers, kind][0])
+            assert len(cache[_moments, kind][0]) == 41
+            assert len(cache[_numbers, kind][0]) == 41
+            assert all(isinstance(b, Fraction) for b in cache[_numbers, kind][0])
 
 
 class TestOracleIndependence:
@@ -330,7 +330,7 @@ class TestOracleIndependence:
         for kind in (1, 2, 3):
             for n in range(9):
                 assert bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
-            for row in (cache.rows[_numbers, kind][0], cache.rows[_oracle_scalars, kind][0]):
+            for row in (cache[_numbers, kind][0], cache[_oracle_scalars, kind][0]):
                 saved = row[5]
                 row[5] = saved + 1
                 try:

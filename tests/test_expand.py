@@ -277,6 +277,17 @@ class TestLCoefficients:
         ):
             l_truncation_bounds(ctx, stream, 0)
 
+    def test_cannot_truncate_above_one(self):
+        # (q;q)_inf and the moment envelope exist only for 0 < q < 1; at q = 4 the
+        # bounds came out negative and a geometric stream was certified
+        ctx = ctx_q("1/4").reciprocal_base()
+        stream = CoefficientStream([1, Fraction(1, 2), Fraction(1, 3)], "geometric", Fraction(1, 4))
+        for call in (l_truncation_bounds, l_coefficients):
+            with pytest.raises(QBernError, match=r"^cannot truncate: .* q = 4$"):
+                call(ctx, stream, 2)
+        finite = CoefficientStream.finite([1, 2, 3])
+        assert l_coefficients(ctx, finite, 2) == [Fraction(309, 112), Fraction(31, 8), Fraction(15, 4)]
+
     def test_product_bound_near_one(self):
         # at q = 19/20 the 40-factor bound 1 - q^41/(1 - q) is negative;
         # a longer product certifies the stream

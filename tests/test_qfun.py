@@ -206,6 +206,14 @@ class TestHypergeometric:
             total += num / den * x**m
         assert phi21(ctx, a, b, c, x, 5) == total
 
+    def test_negative_term_count(self):
+        ctx = ctx_q("1/2")
+        with pytest.raises(ValueError, match="term count must be >= 0, got -1"):
+            phi21(ctx, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), -1)
+        with pytest.raises(ValueError, match="term count must be >= 0, got -3"):
+            phi32(ctx, 1, 2, 3, 4, 5, Fraction(1, 5), terms=-3)
+        assert phi32(ctx, 1, 2, 3, 4, 5, Fraction(1, 5), terms=None) == 1
+
     def test_vanishing_lower_parameter(self):
         ctx = ctx_q("1/2")
         with pytest.raises(QBernError, match="vanishing lower-parameter"):

@@ -25,7 +25,6 @@ from qbernoulli.series import (
     _even_row,
     _exp_row,
     _oracle_scalars,
-    _oracle_table,
     exp_weight,
     exponential_series,
     expq_reciprocal_series,
@@ -172,19 +171,18 @@ class TestGeneratingFunction:
                         for m in range(N + 1):
                             expected = closed_form(ctx, kind, m // 2) if m % 2 == 0 else 0
                             assert series.coefficient(m) == expected
-                    g_row = context_cache(ctx).rows[_even_row, kind][0]
+                    g_row = context_cache(ctx)[_even_row, kind][0]
                     assert g_row == [closed_form(ctx, kind, n) for n in range(11)]
 
     def test_negative_order_is_a_value_error(self):
         # after the exact-alpha and kind checks, which keep their messages
         ctx = ctx_q(Fraction(1, 4))
-        for call in (gf_denominator, _oracle_table):
-            with pytest.raises(ValueError, match="N must be >= 0"):
-                call(ctx, 1, -1)
-            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
-                call(ctx, 4, -1)
-            with pytest.raises(ExactModeError, match="4\\*alpha"):
-                call(ctx.with_alpha(Fraction(1, 3)), 4, -1)
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            gf_denominator(ctx, 1, -1)
+        with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+            gf_denominator(ctx, 4, -1)
+        with pytest.raises(ExactModeError, match="4\\*alpha"):
+            gf_denominator(ctx.with_alpha(Fraction(1, 3)), 4, -1)
 
     def test_exponential_row_matches_closed_form(self):
         # the cached row, extended in two steps on cold cache entries, against
@@ -209,7 +207,7 @@ class TestGeneratingFunction:
         ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 138)
         with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
             gf_numerator(ctx, 4, 3)
-        assert [key for key in context_cache(ctx).rows if key[1] == 4] == []
+        assert [key for key in context_cache(ctx) if key[1] == 4] == []
         rootless = QContext.from_q(Fraction(1, 2), Fraction(1, 2))
         messages = []
         for _ in range(2):
@@ -246,16 +244,6 @@ class TestGeneratingFunction:
                         assert oracle_bernoulli(ctx, kind, n) == expected
 
 
-    def test_oracle_table_matches_single_degrees(self):
-        # the table form reads every degree off one division
-        for ctx in (ctx_q(Fraction(9, 16), "0"), QContext.from_fourth_root(Fraction(3, 7), 1)):
-            for kind in (1, 2, 3):
-                table = _oracle_table(ctx, kind, 16)
-                assert len(table) == 17
-                for n, poly in enumerate(table):
-                    assert poly == oracle_bernoulli(ctx, kind, n)
-
-
 def uncached_division(ctx, kind, N):
     """s = h/g to order N, divided from scratch as the oracle did before it kept rows."""
     g = gf_denominator(ctx, kind, N).coeffs
@@ -281,16 +269,15 @@ class TestOracleRows:
         q_pow = QContext.q_pow
         for kind in (1, 2, 3):
             first = [oracle_bernoulli(ctx, kind, n) for n in range(21)]
-            g_row, s_row = cache.rows[_even_row, kind][0], cache.rows[_oracle_scalars, kind][0]
+            g_row, s_row = cache[_even_row, kind][0], cache[_oracle_scalars, kind][0]
             g_copy, s_copy = list(g_row), list(s_row)
             calls = []
             monkeypatch.setattr(QContext, "q_pow", lambda self, e: calls.append(e) or q_pow(self, e))
             assert [oracle_bernoulli(ctx, kind, n) for n in range(21)] == first
-            assert _oracle_table(ctx, kind, 20) == first
             monkeypatch.undo()
             assert calls == []
-            assert cache.rows[_even_row, kind][0] is g_row and g_row == g_copy
-            assert cache.rows[_oracle_scalars, kind][0] is s_row and s_row == s_copy
+            assert cache[_even_row, kind][0] is g_row and g_row == g_copy
+            assert cache[_oracle_scalars, kind][0] is s_row and s_row == s_copy
             assert (len(g_row), len(s_row)) == (11, 21)
 
     def test_two_threads_extend_one_oracle_row(self):
@@ -317,7 +304,7 @@ class TestOracleRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected, expected]
-        rows, ref = context_cache(shared).rows, context_cache(reference).rows
+        rows, ref = context_cache(shared), context_cache(reference)
         s_row, g_row = rows[_oracle_scalars, 3][0], rows[_even_row, 3][0]
         assert s_row == ref[_oracle_scalars, 3][0] and len(s_row) == 21
         assert g_row == ref[_even_row, 3][0] and len(g_row) == 11
