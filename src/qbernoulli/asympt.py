@@ -7,7 +7,9 @@ stepping from the origin, then shrinks the bracket by ITP refinement
 bisection's worst case), keeping every probe off the bracket's ends.
 Every sign decision uses the tail-bounded evaluations from
 :mod:`qbernoulli.qfun`, escalating the working precision when a value
-sits too close to zero to certify.
+sits too close to zero to certify.  Kind 1 is never searched: on |z| < 2,
+where its series converges, J2(z) = (-z^2/4; q^2)_inf J1(z) (Jackson)
+with a positive factor, so kind 1 reads kind 2's first zero below a cap.
 
 The leading term of the degree-n polynomial at real z is
 
@@ -31,13 +33,17 @@ from mpmath import mp, mpf
 from .qcore import DomainError, QBernError, QContext, cached, q_factorial
 from .detrep import bernoulli_poly_det
 from .qfun import (
+    GUARD_BITS,
     QTrigKind,
+    _checked_precision,
     modified_bessel_certified,
     modified_bessel_derivative_certified,
     qtrig_certified,
     rounded_to_context,
     to_mpf,
 )
+
+_KIND1_CAP = "1.95"  # kind 1's term ratio tends to (z/2)^2, certified only below 0.97
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ def _certified_value(evaluate, x, precision):
     indistinguishable from zero the point is reported as such (sign 0,
     with the last value computed).
     """
-    for wp in (precision + 40, precision * 2 + 40, precision * 4 + 80):
+    for wp in (precision + GUARD_BITS, precision * 2 + GUARD_BITS, precision * 4 + 2 * GUARD_BITS):
         value, bound = evaluate(x, wp)
         if abs(value) > bound:
             return (1 if value > 0 else -1), value
@@ -88,28 +94,18 @@ def _resolve_sign(evaluate, x, step, precision):
     return sign, x
 
 
-def bracket_first_zero(evaluate, initial_step, precision, search_cap=None):
+def bracket_first_zero(evaluate, initial_step, precision):
     """March from 0 with geometrically growing steps until the certified
     sign flips negative, returning the bracketing pair (lo, hi).
 
-    With a search_cap (the kind-1 convergence throttle), the remaining
-    stretch below the cap is swept on a fixed grid before reporting that
-    no zero exists in range.
+    Kinds 2 and 3 are searched this way; kind 1 reads kind 2's zero (see
+    :func:`smallest_zero`), so no march ever nears its |z| = 2 boundary.
     """
-    with mp.workprec(precision + 40):
+    with mp.workprec(precision + GUARD_BITS):
         step = mpf(initial_step)
         lo = mpf(0)
         x = step
         for _ in range(400):
-            if search_cap is not None and x >= search_cap:
-                grid = 24
-                for j in range(1, grid + 1):
-                    probe = lo + (search_cap - lo) * j / grid
-                    sign, probe = _resolve_sign(evaluate, probe, step, precision)
-                    if sign < 0:
-                        return lo, probe
-                    lo = probe
-                raise DomainError("no zero found in search range")
             sign, x = _resolve_sign(evaluate, x, step, precision)
             if sign < 0:
                 return lo, x
@@ -138,7 +134,7 @@ def bisect_zero(evaluate, lo, hi, precision):
     that probe is already a better location than the target width asks
     for; it is returned with the current (certified) bracket.
     """
-    with mp.workprec(precision + 40):
+    with mp.workprec(precision + GUARD_BITS):
         lo = mpf(lo)
         hi = mpf(hi)
         # lo only grows, so this target also holds against the final hi
@@ -177,32 +173,33 @@ def bisect_zero(evaluate, lo, hi, precision):
 def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> ZeroResult:
     """First positive zero of the modified q-Bessel function, base q**2.
 
-    Kinds 2 and 3 are entire and always have one; kind 1 is searched only
-    on (0, 2) and reports failure when no certified sign change exists
-    there.  The result carries a bracket across which the sign provably
-    changes and the residual at the reported location.
+    Kinds 2 and 3 are entire and always have one.  Kind 1 shares kind 2's zeros on
+    |z| < 2 and reads kind 2's, failing unless its bracket ends below _KIND1_CAP, where
+    kind 1's series still certifies.  The result carries a certified sign-change
+    bracket and the residual at the reported location.
     """
     ctx.require_numeric()
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
-    return _first_zero(ctx, kind, ctx.float_precision_bits if precision is None else precision)
+    return _first_zero(ctx, kind, _checked_precision(ctx, precision))
 
 
 @cached
 def _first_zero(ctx: QContext, kind: int, precision: int) -> ZeroResult:
     def evaluate(x, wp):
-        return modified_bessel_certified(ctx, kind, 2, x, precision=wp - 40)
+        return modified_bessel_certified(ctx, kind, 2, x, precision=wp - GUARD_BITS)
 
-    with mp.workprec(precision + 40):
-        initial = (1 - to_mpf(ctx.q)) / 2
-        # the kind-1 series stops certifying as |z| -> 2; sweep up to the
-        # throttle point and report absence beyond it
-        cap = mpf("1.95") if kind == 1 else None
+    with mp.workprec(precision + GUARD_BITS):
         if kind == 1:
-            initial = min(initial, mpf(1) / 8)
-        lo, hi = bracket_first_zero(evaluate, initial, precision, search_cap=cap)
-        lo, hi, location = bisect_zero(evaluate, lo, hi, precision)
-        value, bound = evaluate(location, precision + 40)
+            zero = _first_zero(ctx, 2, precision)
+            (lo, hi), location = zero.certified_interval, zero.location
+            if not hi < mpf(_KIND1_CAP):
+                raise DomainError("no zero found in search range (0, %s): kind 1 shares kind 2's zeros, "
+                                  "and kind 2's first is at %s" % (_KIND1_CAP, mpmath.nstr(location, 10)))
+        else:
+            lo, hi = bracket_first_zero(evaluate, (1 - to_mpf(ctx.q)) / 2, precision)
+            lo, hi, location = bisect_zero(evaluate, lo, hi, precision)
+        value, bound = evaluate(location, precision + GUARD_BITS)
         return ZeroResult(location=location, certified_interval=(lo, hi), residual=abs(value) + bound)
 
 
@@ -236,10 +233,10 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
         kind, alpha, trig, prescale = _NAMED[which]
     except KeyError:
         raise ValueError("which must be one of %s" % sorted(_NAMED)) from None
-    precision = ctx.float_precision_bits if precision is None else precision
+    precision = _checked_precision(ctx, precision)
     reduced = ctx.with_alpha(alpha)
     bessel = smallest_zero(reduced, kind, precision)
-    with mp.workprec(precision + 40):
+    with mp.workprec(precision + GUARD_BITS):
         q = to_mpf(ctx.q)
         scale = _zero_scale(q, kind)
         location = bessel.location * scale
@@ -281,7 +278,7 @@ class _Frame:
 def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
     zero = smallest_zero(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
-    with mp.workprec(precision + 40):
+    with mp.workprec(precision + GUARD_BITS):
         scale = _zero_scale(to_mpf(ctx.q), kind)
         prefactor = 4 * scale  # exact: a power of two
         constant = zero.location * scale
@@ -312,7 +309,7 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
     precision = ctx.float_precision_bits
     frame = _frame(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
-    with mp.workprec(precision + 40):
+    with mp.workprec(precision + GUARD_BITS):
         z = to_mpf(z)
         cos_at_2cz, cos2_bound = qtrig_certified(ctx, cos_kind, 2 * frame.constant * z, precision=precision)
         sin_at_2cz, sin2_bound = qtrig_certified(ctx, sin_kind, 2 * frame.constant * z, precision=precision)
@@ -373,7 +370,7 @@ def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:
     for n in n_list:
         exact = bernoulli_poly_det(ctx, kind, n)(z)
         term = leading_term(ctx, kind, n, z)
-        with mp.workprec(ctx.float_precision_bits + 40):
+        with mp.workprec(ctx.float_precision_bits + GUARD_BITS):
             float_value = to_mpf(exact)
             noisy = abs(term.components["trig_combination"]) <= term.components["trig_combination_noise"]
             flag, ratio = ("indeterminate", None) if noisy else (None, abs(float_value / term.value - 1))

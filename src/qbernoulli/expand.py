@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 
 from .qcore import QBernError, QContext, q_pochhammer
 from .detrep import _moments, _numbers
-from .qfun import to_mpf
+from .qfun import _workprec, to_mpf
 from .series import PolyZ, _exp_row
 
 
@@ -122,7 +122,7 @@ def tau_estimate(ctx: QContext, stream: CoefficientStream, window) -> mpf:
     """max over the window of |g_n|**(1/n): a diagnostic stand-in for the
     growth type tau, not a certified limit."""
     ctx.require_numeric()
-    with mp.workprec(ctx.float_precision_bits + 40):
+    with mp.workprec(_workprec(ctx)):
         best = mpf(0)
         for n in window:
             if n < 1 or n > stream.last_index:
@@ -158,7 +158,7 @@ def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> Growt
     gamma = Fraction(gamma)
     if k <= 0:
         raise ValueError("order k must be positive")
-    with mp.workprec(ctx.float_precision_bits + 40):
+    with mp.workprec(_workprec(ctx)):
         q = to_mpf(ctx.q)
         best = mpf(0)
         for n, f in enumerate(stream.coefficients):
@@ -167,20 +167,11 @@ def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> Growt
             exponent = to_mpf((Fraction(n) - gamma) ** 2 / (2 * k))
             best = max(best, abs(to_mpf(f)) * mpmath.power(q, -exponent))
         if k < 1:
-            return GrowthVerdict(
-                min_K=+best,
-                order=k,
-                type_gamma=gamma,
-                advisory="order below one: the tau estimate should tend to 0",
-            )
-        bound = mpmath.power(q, to_mpf(Fraction(1, 2) - gamma)) / (1 - q)
-        return GrowthVerdict(
-            min_K=+best,
-            order=k,
-            type_gamma=gamma,
-            advisory="order one, type %s: tau should stay below q^(1/2-gamma)/(1-q)" % gamma,
-            tau_bound=+bound,
-        )
+            advisory, tau_bound = "order below one: the tau estimate should tend to 0", None
+        else:
+            advisory = "order one, type %s: tau should stay below q^(1/2-gamma)/(1-q)" % gamma
+            tau_bound = +(mpmath.power(q, to_mpf(Fraction(1, 2) - gamma)) / (1 - q))
+        return GrowthVerdict(min_K=+best, order=k, type_gamma=gamma, advisory=advisory, tau_bound=tau_bound)
 
 
 # the exact product's bit size grows like m^2; past this q is too close to 1
@@ -287,7 +278,7 @@ def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
 def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:
     """Partial expansion at real z: reconstruct_poly, rounded once in working precision."""
     ctx.require_numeric()
-    with mp.workprec(ctx.float_precision_bits + 40):
+    with mp.workprec(_workprec(ctx)):
         return +reconstruct_poly(ctx, stream, N)(to_mpf(z))
 
 

@@ -94,8 +94,8 @@ class QContext:
             raise ValueError("base q must be positive and != 1")
         if self.alpha <= -1:
             raise ValueError("alpha must be > -1")
-        if self.float_precision_bits < 1:
-            raise ValueError("float_precision_bits must be positive")
+        if type(self.float_precision_bits) is not int or self.float_precision_bits < 1:
+            raise ValueError("float_precision_bits must be a positive integer, got %r" % (self.float_precision_bits,))
         # every cache lookup hashes the context, and each Fraction hash
         # computes a modular inverse: hash once.  The roots are left out,
         # since equal contexts agree on them anyway and hash(None) is not

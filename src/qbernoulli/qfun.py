@@ -35,10 +35,12 @@ MAX_SERIES_TERMS = 200_000
 
 
 def to_mpf(x):
-    """Convert int/float/Fraction/mpf to mpf at the current precision."""
+    """Convert int/float/Fraction/mpf to mpf at the current precision; inf and nan raise DomainError."""
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+    if not mpmath.isfinite(value := mpf(x)):
+        raise DomainError("expected a finite real number, got %s" % x)
+    return value
 
 
 def certified_sum(first_term, step, workprec):
@@ -69,8 +71,17 @@ def certified_sum(first_term, step, workprec):
                 raise QBernError("series failed to certify within %d terms" % MAX_SERIES_TERMS)
 
 
+def _checked_precision(ctx: QContext, precision=None) -> int:
+    """precision, or the context's for None; anything but an int >= 1 (a bool too) raises ValueError."""
+    if precision is None:
+        return ctx.float_precision_bits
+    if type(precision) is not int or precision < 1:
+        raise ValueError("precision must be an integer number of bits >= 1, got %r" % (precision,))
+    return precision
+
+
 def _workprec(ctx: QContext, precision=None):
-    return (ctx.float_precision_bits if precision is None else precision) + GUARD_BITS
+    return _checked_precision(ctx, precision) + GUARD_BITS
 
 
 def rounded_to_context(ctx: QContext, value) -> mpf:

@@ -75,6 +75,57 @@ class TestSmallestZero:
             assert abs(coarse.location - fine.location) < mpf(2) ** -60
 
 
+class TestKindOne:
+    """Kind 1 shares kind 2's zeros below 2 (Jackson: J2 = (-z^2/4; q^2)_inf J1)
+    and reads kind 2's zero instead of searching."""
+
+    # the second case's zero, 1.9288, sits just below the cap
+    @pytest.mark.parametrize("q, alpha", [("3/4", "-1/2"), ("2/3", "1/8")])
+    def test_kind1_reads_kind2_zero(self, q, alpha):
+        ctx = ctx_q(q, alpha)
+        kind1, kind2 = smallest_zero(ctx, 1), smallest_zero(ctx, 2)
+        assert kind1.location == kind2.location
+        assert kind1.certified_interval == kind2.certified_interval
+        lo, hi = kind1.certified_interval
+        vlo, blo = modified_bessel_certified(ctx, 1, 2, lo, precision=192)
+        vhi, bhi = modified_bessel_certified(ctx, 1, 2, hi, precision=192)
+        assert vlo > blo and -vhi > bhi  # certified + at lo, - at hi for kind 1 itself
+        assert kind1.residual < mpf(2) ** -(128 - 8)
+
+    def test_absence_between_cap_and_two(self):
+        # kind 1 has a zero here, but its series cannot certify so close to 2
+        ctx = ctx_q("3/5", "-1/8")
+        assert mpf("1.95") < smallest_zero(ctx, 2).location < 2
+        with pytest.raises(DomainError, match=r"no zero found in search range \(0, 1.95\).* 1.99478"):
+            smallest_zero(ctx, 1)
+
+    @pytest.mark.parametrize("q, alpha, found", [("2/3", "1/8", True), ("3/5", "-1/8", False), ("1/2", "1/2", False)])
+    def test_at_most_one_kind1_evaluation(self, monkeypatch, q, alpha, found):
+        ctx = ctx_q(q, alpha, bits=120)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return modified_bessel_certified(*args, **kwargs)
+
+        monkeypatch.delitem(qcore._contexts, ctx, raising=False)
+        monkeypatch.setattr(asympt, "modified_bessel_certified", counting)
+        if found:
+            smallest_zero(ctx, 1)
+        else:
+            with pytest.raises(DomainError):
+                smallest_zero(ctx, 1)
+        assert calls.count(1) == found  # only the residual, and only for a zero
+
+    @pytest.mark.parametrize("precision", [0, -60, 1.5, True])
+    def test_bad_precision_is_refused(self, precision):
+        ctx = ctx_q("1/2")
+        with pytest.raises(ValueError, match="precision must be an integer number of bits >= 1"):
+            smallest_zero(ctx, 2, precision)
+        with pytest.raises(ValueError, match="precision must be an integer number of bits >= 1"):
+            named_trig_zero(ctx, "Sin_q", precision)
+
+
 def _target(precision, hi):
     return mpf(2) ** -(precision + 8) * max(mpf(1), hi)
 

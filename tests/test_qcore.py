@@ -126,6 +126,9 @@ class TestQContext:
             QContext.from_q(Fraction(1, 2), Fraction(-3, 2))
         with pytest.raises(ValueError):
             QContext.from_fourth_root(Fraction(3, 2), 0)
+        for bits in (0, 64.5, True):
+            with pytest.raises(ValueError, match="float_precision_bits must be a positive integer, got %r" % bits):
+                QContext.from_q(Fraction(1, 2), 0, bits)
 
     def test_reciprocal_base(self):
         ctx = QContext.from_q(Fraction(1, 4), Fraction(1, 2))

@@ -23,6 +23,7 @@ from qbernoulli.qfun import (
     modified_bessel_certified,
     modified_bessel_derivative_certified,
     qpochhammer_infinite,
+    qtrig_certified,
     to_mpf,
 )
 from qbernoulli.series import exponential_series, expq_reciprocal_series
@@ -174,6 +175,28 @@ class TestBessel:
             prefactor = mpmath.qp(Q ** mpf(1.5), Q) / mpmath.qp(Q, Q)
             expected = prefactor * mpmath.sqrt(mpf(1) / 4) * eval_modified_bessel(ctx, 2, 2, z)
             assert abs(eval_bessel(ctx, 2, 2, z) - expected) < mpf(2) ** -80
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("precision", [0, -60, 1.5, True])
+    def test_bad_precision_is_refused(self, precision):
+        ctx = ctx_q("1/2")
+        with pytest.raises(ValueError, match="precision must be an integer number of bits >= 1, got %r" % precision):
+            modified_bessel_certified(ctx, 2, 2, 1, precision=precision)
+        with pytest.raises(ValueError, match="precision must be an integer"):
+            qtrig_certified(ctx, QTrigKind.Sin_q, 1, precision=precision)
+
+    @pytest.mark.parametrize("value", [mpmath.inf, -mpmath.inf, mpmath.nan, float("inf"), float("nan")])
+    def test_non_finite_argument_is_refused(self, value):
+        # each used to sum 200k terms before failing to certify
+        ctx = ctx_q("1/2")
+        for evaluate in (
+            lambda: eval_Eq(ctx, value),
+            lambda: eval_qtrig(ctx, QTrigKind.S_q, value),
+            lambda: eval_modified_bessel(ctx, 2, 2, value),
+        ):
+            with pytest.raises(DomainError, match="expected a finite real number, got"):
+                evaluate()
 
 
 class TestHypergeometric:
