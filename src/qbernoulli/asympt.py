@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import DomainError, QBernError, QContext, cached, q_factorial
+from .qcore import DomainError, QBernError, QContext, cached, check_degree, check_kind, q_factorial, rational
 from .detrep import bernoulli_poly_det
 from .qfun import (
     GUARD_BITS,
@@ -179,9 +179,7 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
     bracket and the residual at the reported location.
     """
     ctx.require_numeric()
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
-    return _first_zero(ctx, kind, _checked_precision(ctx, precision))
+    return _first_zero(ctx, check_kind(kind), _checked_precision(ctx, precision))
 
 
 @cached
@@ -249,7 +247,7 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
 def bessel_derivative_at(ctx: QContext, kind: int, x) -> mpf:
     """d/dz of the modified q-Bessel function (base q**2) at x > 0."""
     ctx.require_numeric()
-    if not x > 0:
+    if not to_mpf(x) > 0:
         raise ValueError("x must be positive")
     value, _ = modified_bessel_derivative_certified(ctx, kind, x)
     return rounded_to_context(ctx, value)
@@ -301,10 +299,9 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
     sine-type one; the two parities share the prefactor, the power
     (2c)^(n+1), and the Bessel-derivative denominator.
     """
-    if kind not in (2, 3):
-        raise ValueError("kind must be 2 or 3")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_kind(kind, (2, 3))
+    if check_degree(n) < 1:
+        raise ValueError("n must be >= 1, got 0")
     ctx.require_numeric()
     precision = ctx.float_precision_bits
     frame = _frame(ctx, kind, precision)
@@ -365,7 +362,7 @@ def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:
     parities whose combination vanishes identically) makes the ratio
     meaningless; such rows are flagged "indeterminate" instead.
     """
-    z = Fraction(z)
+    z, kind = rational(z, "z"), check_kind(kind, (2, 3))
     rows = []
     for n in n_list:
         exact = bernoulli_poly_det(ctx, kind, n)(z)

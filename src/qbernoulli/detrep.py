@@ -26,7 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qcore import QContext, cached_row, q_binomial, q_factorial, q_int, require_exact_alpha
+from .qcore import (
+    QContext, cached_row, check_degree, check_kind, q_binomial, q_factorial, q_int, rational, require_exact_alpha,
+)
 from .series import PolyZ, _exp_row, appell_poly, exp_weight
 
 
@@ -65,8 +67,7 @@ def _bareiss_det(rows) -> Fraction:
 def _moments(ctx: QContext, kind: int, row):
     """The normalised moments mu_k / [k]_q!, k = 0, 1, ..., of this context and kind;
     a context without an exact alpha raises, also at k = 0."""
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
+    check_kind(kind)
     require_exact_alpha(ctx)  # m_0 = 1 needs no q-power, but only an exact context has moments
     yield Fraction(1)
     while kind in (1, 2):
@@ -97,9 +98,6 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
                / ((q^2;q^2)_k (q^(2a+2);q^2)_k),
     found by dividing that series at t/2 by exp_q(-t/2).  mu_0 = 1 for every kind.
     """
-    require_exact_alpha(ctx)
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return q_factorial(ctx, m) * _moments(ctx, kind, m)[m]
 
 
@@ -112,9 +110,8 @@ def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
     through the binomial convention.
     """
     require_exact_alpha(ctx)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    weights = tuple(exp_weight(ctx, kind, j) for j in range(n + 1))
+    check_kind(kind)
+    weights = tuple(exp_weight(ctx, kind, j) for j in range(check_degree(n) + 1))
     rows = []
     for i in range(1, n + 1):
         rows.append(
@@ -155,11 +152,8 @@ def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:
     tested against; it agrees with bernoulli_poly_det(...)(z) and, at
     z = 0, with bernoulli_number.
     """
-    if n == 0:  # the 1x1 determinant w_0 = 1, whose weight checks the kind
-        require_exact_alpha(ctx)
-        return exp_weight(ctx, kind, 0)
-    z = Fraction(z)
     weights, scalar_rows = build_matrix(ctx, kind, n)
+    z = rational(z, "z")
     rows = [[weights[j] * z**j for j in range(n + 1)]]
     rows.extend(list(r) for r in scalar_rows)
     return Fraction(-1) ** n * _bareiss_det(rows)

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import QBernError, QContext, q_pochhammer
+from .qcore import QBernError, QContext, check_degree, q_pochhammer, rational
 from .detrep import _moments, _numbers
 from .qfun import _workprec, to_mpf
 from .series import PolyZ, _exp_row
@@ -51,7 +51,7 @@ class CoefficientStream:
             self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
         )
         if self.tail_kind not in ("finite", "geometric"):
-            raise ValueError("tail_kind must be 'finite' or 'geometric'")
+            raise ValueError("a stream's tail is 'finite' or 'geometric', got tail_kind=%r" % (self.tail_kind,))
         if self.tail_kind == "geometric":
             if self.tail_ratio is None:
                 raise ValueError("a geometric tail needs a ratio")
@@ -125,7 +125,7 @@ def tau_estimate(ctx: QContext, stream: CoefficientStream, window) -> mpf:
     with mp.workprec(_workprec(ctx)):
         best = mpf(0)
         for n in window:
-            if n < 1 or n > stream.last_index:
+            if not 1 <= check_degree(n, "a window entry") <= stream.last_index:
                 continue
             g = scaled_coefficient(ctx, stream, n)
             if g == 0:
@@ -154,8 +154,7 @@ def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> Growt
     diagnostics, never gates.
     """
     ctx.require_numeric()
-    k = Fraction(k)
-    gamma = Fraction(gamma)
+    k, gamma = rational(k, "k"), rational(gamma, "gamma")
     if k <= 0:
         raise ValueError("order k must be positive")
     with mp.workprec(_workprec(ctx)):
@@ -244,9 +243,7 @@ def l_coefficients(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fra
     declared decay cannot beat the moment envelope), and the returned
     rationals carry that certified error.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    l_truncation_bounds(ctx, stream, N)  # raises when not certifiable
+    l_truncation_bounds(ctx, stream, check_degree(N, "N"))  # raises when not certifiable
     return _l_sums(ctx, stream, N, lambda J: _moments(ctx, 2, J))
 
 
@@ -297,6 +294,7 @@ def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N
             "cannot truncate: the corollary weights need a finite stream, got a %s tail"
             % stream.tail_kind
         )
+    check_degree(N, "N")
     q = ctx.q
     if variant == "bernoulli":
         def weight(j):

@@ -13,6 +13,9 @@ evaluation.  Exact operations that need a q-root the context cannot
 represent raise :class:`ExactModeError`; nothing is ever silently
 approximated on the exact paths.
 
+Each argument class has one check here: :func:`check_degree` for degrees,
+:func:`check_kind` for family kinds and :func:`rational` for exact points.
+
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
 process-wide precision).  Results worth keeping live in one dict per
@@ -179,6 +182,28 @@ class QContext:
         return self.q_pow_quarters(int(e * 4))
 
 
+def check_degree(n, name: str = "n") -> int:
+    """n when it is an int >= 0 (a bool is not), else ValueError naming the argument and its value."""
+    if type(n) is not int or n < 0:
+        raise ValueError("%s must be %s, got %r" % (name, ">= 0" if type(n) is int else "an integer >= 0", n))
+    return n
+
+
+def check_kind(kind, kinds: tuple = (1, 2, 3), name: str = "kind"):
+    """kind when it is one of kinds and of their type (no bool or float passes for an int), else ValueError."""
+    if type(kind) is not type(kinds[0]) or kind not in kinds:
+        raise ValueError("%s must be %s or %s, got %r" % (name, ", ".join(map(str, kinds[:-1])), kinds[-1], kind))
+    return kind
+
+
+def rational(x, name: str) -> Fraction:
+    """x as a Fraction; what Fraction cannot take, inf and nan raise DomainError naming the argument."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError("%s must be a finite rational, got %r" % (name, x)) from None
+
+
 CACHED_CONTEXTS = 64
 
 # guards _contexts and every extension of a cached row, so that two threads
@@ -205,8 +230,9 @@ def cached_row(terms):
 
     @wraps(terms)
     def row(ctx, kind, n):
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        check_degree(n)
+        if type(kind) is bool:  # True and False would read the rows of kinds 1 and 0
+            check_kind(kind)
         rows, key = context_cache(ctx), (row, kind)
         entry = rows.get(key)
         if entry and len(entry[0]) > n:
@@ -245,9 +271,7 @@ def require_exact_alpha(ctx: QContext):
 
 def q_int(ctx: QContext, n: int) -> Fraction:
     """q-natural number (1 - q**n) / (1 - q); q_int(0) = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (1 - ctx.q**n) / (1 - ctx.q)
+    return (1 - ctx.q ** check_degree(n)) / (1 - ctx.q)
 
 
 @cached_row
@@ -270,21 +294,15 @@ def q_factorial(ctx: QContext, n: int) -> Fraction:
 
 def q_binomial(ctx: QContext, n: int, k: int) -> Fraction:
     """Gaussian binomial coefficient; 0 for k > n, [0 choose 0] = 1."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    if k > n:
+    if check_degree(n) < check_degree(k, "k"):
         return Fraction(0)
     return q_factorial(ctx, n) / (q_factorial(ctx, k) * q_factorial(ctx, n - k))
 
 
 def q_pochhammer(a, base, n: int) -> Fraction:
     """Shifted factorial (a; base)_n = prod_{m=0}^{n-1} (1 - a*base**m)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    a = Fraction(a)
-    base = Fraction(base)
-    out = Fraction(1)
-    for _ in range(n):
+    a, base, out = rational(a, "a"), rational(base, "base"), Fraction(1)
+    for _ in range(check_degree(n)):
         out *= 1 - a
         a *= base
     return out

@@ -23,24 +23,23 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import (
-    DomainError,
-    QBernError,
-    QContext,
-    q_factorial,
-)
+from .qcore import DomainError, QBernError, QContext, check_degree, check_kind, q_factorial, rational
 
 GUARD_BITS = 40
 MAX_SERIES_TERMS = 200_000
 
 
 def to_mpf(x):
-    """Convert int/float/Fraction/mpf to mpf at the current precision; inf and nan raise DomainError."""
+    """Convert int/float/Fraction/mpf to mpf at the current precision; what mpf cannot take,
+    inf and nan raise DomainError."""
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
-    if not mpmath.isfinite(value := mpf(x)):
-        raise DomainError("expected a finite real number, got %s" % x)
-    return value
+    try:
+        if mpmath.isfinite(value := mpf(x)):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise DomainError("expected a finite real number, got %s" % (x,))
 
 
 def certified_sum(first_term, step, workprec):
@@ -177,7 +176,7 @@ def qtrig_certified(ctx: QContext, kind: QTrigKind, z, precision=None):
     signs; no complex arithmetic is involved.
     """
     ctx.require_numeric()
-    family, parity = _TRIG_FAMILY[kind]
+    family, parity = _TRIG_FAMILY[check_kind(kind, tuple(QTrigKind))]
     wp = _workprec(ctx, precision)
     with mp.workprec(wp):
         q = to_mpf(ctx.q)
@@ -215,9 +214,7 @@ def _modified_bessel_ratio(kind: int, Q: mpf, alpha: mpf, z: mpf):
 
     The kind sets the weight in f_n: 1, Q**(alpha+2n+1) or Q**(n+1).
     """
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
-    X = z if kind == 3 else z / 2
+    X = z if check_kind(kind) == 3 else z / 2
     if kind == 1 and abs(X) >= 1:
         raise DomainError("kind-1 q-Bessel series converges only for |z| < 2")
     Qa1 = mpmath.power(Q, alpha + 1)
@@ -242,8 +239,7 @@ def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, p
     kind 1 converges only for |z| < 2.
     """
     ctx.require_numeric()
-    if base_exponent not in (1, 2):
-        raise ValueError("base_exponent must be 1 or 2")
+    check_kind(base_exponent, (1, 2), "base_exponent")
     wp = _workprec(ctx, precision)
     with mp.workprec(wp):
         Q = to_mpf(ctx.q) ** base_exponent
@@ -321,37 +317,37 @@ def eval_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf:
 
 
 def _phi_sum(ctx: QContext, uppers, lowers, arg, terms):
-    if terms is not None and terms < 0:
-        raise ValueError("the term count must be >= 0, got %s" % terms)
-    q = ctx.q
-    arg = Fraction(arg)
-    uppers = [Fraction(u) for u in uppers]
-    lowers = [Fraction(l) for l in lowers]
+    """Terms 0..terms of the basic hypergeometric sum; with terms=None, every term before the
+    first upper parameter u to meet u q^m = 1.  Each u q^m moves monotonically in m, so the sum
+    raises as soon as no upper parameter can still reach 1."""
+    if terms is not None:
+        check_degree(terms, "the term count")
+    q, arg = ctx.q, rational(arg, "arg")
+    uppers = [rational(u, "an upper parameter") for u in uppers]
+    lowers = [rational(low, "a lower parameter") for low in lowers]
     total = Fraction(0)
-    num = Fraction(1)
-    den = Fraction(1)
-    power = Fraction(1)
-    qpoch = Fraction(1)
+    num = den = power = qpoch = qm = Fraction(1)
     m = 0
     while True:
         total += num / (den * qpoch) * power
         if terms is not None and m >= terms:
             return total
         for low in lowers:
-            factor = 1 - low * q**m
+            factor = 1 - low * qm
             if factor == 0:
                 raise QBernError("vanishing lower-parameter Pochhammer factor")
             den *= factor
         for u in uppers:
-            num *= 1 - u * q**m
+            num *= 1 - u * qm
         if num == 0:
             # the sum terminates here; later terms all vanish
             return total
-        qpoch *= 1 - q ** (m + 1)
+        if terms is None and not any(0 < u * qm and (u * qm - 1) * (q - 1) < 0 for u in uppers):
+            raise QBernError("the hypergeometric sum does not terminate: no upper parameter is q**-k")
+        qm *= q
+        qpoch *= 1 - qm
         power *= arg
         m += 1
-        if terms is None and m > 10_000:
-            raise QBernError("hypergeometric sum did not terminate")
 
 
 def phi21(ctx: QContext, a, b, c, arg, N: int) -> Fraction:
@@ -387,10 +383,8 @@ def recip_expq_coeffs(ctx: QContext, N: int) -> list[Fraction]:
     compositions per n, fine for n up to ~20; the series-division route
     (:func:`qbernoulli.series.expq_reciprocal_series`) scales past that.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
     part_weight = [
-        ctx.q_pow_quarters(s * (s - 1)) / q_factorial(ctx, s) for s in range(N + 1)
+        ctx.q_pow_quarters(s * (s - 1)) / q_factorial(ctx, s) for s in range(check_degree(N, "N") + 1)
     ]
     out = [Fraction(1)]
     for n in range(1, N + 1):

@@ -9,7 +9,7 @@ their exact action on polynomials.
 
 from __future__ import annotations
 
-from .qcore import QContext, q_int
+from .qcore import QContext, check_degree, check_kind, q_int
 from .detrep import bernoulli_poly_det
 from .series import PolyZ
 
@@ -55,10 +55,8 @@ def appell_check(ctx: QContext, kind: int, n_max: int) -> list[dict]:
     Returns one {"kind", "n", "pass"} record per degree 1..n_max; the
     list is JSON-ready.  Failures are report entries, never exceptions.
     """
-    if kind not in _OPERATORS:
-        raise ValueError("kind must be 1, 2 or 3")
-    op = _OPERATORS[kind]
-    polys = [bernoulli_poly_det(ctx, kind, n) for n in range(n_max + 1)]
+    op = _OPERATORS[check_kind(kind)]
+    polys = [bernoulli_poly_det(ctx, kind, n) for n in range(check_degree(n_max, "n_max") + 1)]
     report = []
     for n in range(1, n_max + 1):
         lowered = op(ctx, polys[n])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import QBernError, QContext, cached_row, q_factorials, require_exact_alpha
+from .qcore import QBernError, QContext, cached_row, check_degree, check_kind, q_factorials, require_exact_alpha
 
 
 class PolyZ:
@@ -190,20 +190,19 @@ def exp_weight(ctx: QContext, kind: int, m: int) -> Fraction:
 
     kind 1 uses e_q (weight 1), kind 2 uses E_q (q**(m(m-1)/2)), kind 3
     uses exp_q (q**(m(m-1)/4)); m(m-1) is even, so kind 3 needs only a
-    rational square root of q.
+    rational square root of q.  The kind is checked by the callers.
     """
     if kind == 1:
         return Fraction(1)
     if kind == 2:
         return ctx.q ** (m * (m - 1) // 2)
-    if kind == 3:
-        return ctx.q_pow_quarters(m * (m - 1))
-    raise ValueError("kind must be 1, 2 or 3")
+    return ctx.q_pow_quarters(m * (m - 1))
 
 
 @cached_row
 def _exp_row(ctx: QContext, kind: int, row):
     """The coefficients w_m / [m]_q!, m = 0, 1, ..., of this context and kind."""
+    check_kind(kind)
     while True:
         m = len(row)
         yield exp_weight(ctx, kind, m) / q_factorials(ctx, m)[m]
@@ -234,7 +233,10 @@ def expq_reciprocal_series(ctx: QContext, N: int) -> TruncatedSeries:
 
 @cached_row
 def _even_row(ctx: QContext, kind: int, row):
-    """g_0, g_2, g_4, ... of this context and kind."""
+    """g_0, g_2, g_4, ... of this context and kind; a context without an exact alpha
+    raises, also at g_0."""
+    require_exact_alpha(ctx)
+    check_kind(kind)
     yield Fraction(1)
     # running q^(2n), q^(2a+2n) and step q^(2a+4n-2) or q^(2n-1/2), from n = 1: a missing root raises
     q2, half2 = ctx.q**2, (1 - ctx.q) ** 2 / 4
@@ -246,16 +248,6 @@ def _even_row(ctx: QContext, kind: int, row):
         q2n, shifted, step = q2n * q2, shifted * q2, step * grow
 
 
-def _denominator_row(ctx: QContext, kind: int, N: int) -> list:
-    """The cached even coefficients g_0, g_2, ..., g_2K (2K >= N - 1) of this context and kind."""
-    require_exact_alpha(ctx)
-    if kind not in (1, 2, 3):
-        raise ValueError("kind must be 1, 2 or 3")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return _even_row(ctx, kind, N // 2)
-
-
 def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     """Even scalar series g_alpha^(kind)(i*t; q) to order N.
 
@@ -264,7 +256,9 @@ def gf_denominator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     kind 3; odd coefficients vanish.  The even ones are read off the
     oracle's cached row.
     """
-    row = _denominator_row(ctx, kind, N)
+    require_exact_alpha(ctx)  # alpha and kind before N, whose check _even_row would make first
+    check_kind(kind)
+    row = _even_row(ctx, kind, check_degree(N, "N") // 2)
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[::2] = row[: N // 2 + 1]
     return TruncatedSeries(coeffs)
@@ -300,7 +294,7 @@ def _oracle_scalars(ctx: QContext, kind: int, s):
     half = Fraction(1)
     while True:
         m = len(s)
-        g, h = _denominator_row(ctx, kind, m), _exp_row(ctx, kind, m)[m] * half
+        g, h = _even_row(ctx, kind, m // 2), _exp_row(ctx, kind, m)[m] * half
         yield h - sum(g[j] * s[m - 2 * j] for j in range(1, m // 2 + 1))
         half /= -2
 
@@ -308,7 +302,5 @@ def _oracle_scalars(ctx: QContext, kind: int, s):
 def oracle_bernoulli(ctx: QContext, kind: int, n: int) -> PolyZ:
     """The degree-n family member, read off s = h/g to order n.  Exact;
     serves as the independent check of the determinant representation."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return appell_poly(ctx, kind, n, _oracle_scalars(ctx, kind, n))
 

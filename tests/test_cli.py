@@ -2,9 +2,11 @@ import csv
 import io
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,34 @@ def expand_transcript(tmp_path) -> str:
                 % (" ".join(argv), result.exit_code, result.stdout, result.stderr)
             )
     return "".join(parts).replace(str(tmp_path), "<dir>")
+
+
+NUMERIC_CONTEXTS = (
+    ("--q-quarter", "1/2", "--alpha", "1/2"),
+    ("--q-quarter", "2/3", "--alpha", "-1/2"),
+    ("--q-quarter", "3/4", "--alpha", "0"),
+)
+
+
+def numeric_transcript() -> str:
+    """stdout, stderr and exit code of zeros (kinds 2 and 3 at 64, 128, 256 and
+    1024 bits) and asympt (kinds 2 and 3, json and csv, --n-max 12) over three
+    contexts."""
+    argvs = [
+        ["zeros", *context, "--kind", kind, "--precision", precision]
+        for context, kind, precision in itertools.product(NUMERIC_CONTEXTS, "23", ("64", "128", "256", "1024"))
+    ] + [
+        ["asympt", *context, "--kind", kind, "--n-max", "12", "--format", fmt]
+        for context, kind, fmt in itertools.product(NUMERIC_CONTEXTS, "23", ("json", "csv"))
+    ]
+    parts = []
+    for argv in argvs:
+        result = run(*argv)
+        parts.append(
+            "$ qbern %s\n[exit %d]\n%s[stderr]\n%s"
+            % (" ".join(argv), result.exit_code, result.stdout, result.stderr)
+        )
+    return "".join(parts)
 
 
 class TestPoly:
@@ -318,6 +348,18 @@ class TestGoldenFiles:
     def test_expand_golden(self, tmp_path):
         # the L_n sums, truncation bounds and reconstructions, and each failure's cause
         assert expand_transcript(tmp_path) == (DATA / "golden_expand.txt").read_text()
+
+    def test_numeric_golden(self):
+        # every byte but the residuals, which need only stay below 2^-(p-16)
+        residual = re.compile(r'"residual": "([^"@]*)@(\d+)b"')
+        transcript = numeric_transcript()
+        found = residual.findall(transcript)
+        assert len(found) == 72
+        for value, precision in found:
+            assert abs(mpmath.mpf(value)) <= mpmath.mpf(2) ** (16 - int(precision))
+        masked = [residual.sub('"residual": <masked>', text)
+                  for text in (transcript, (DATA / "golden_numeric.txt").read_text())]
+        assert masked[0] == masked[1]
 
 
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1)
