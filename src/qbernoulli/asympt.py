@@ -292,6 +292,16 @@ def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
     )
 
 
+@cached
+def _trig_at_2cz(ctx: QContext, kind: int, precision: int, z: mpf) -> tuple:
+    """The kind's certified (value, bound) trig pair at 2cz, which no degree changes."""
+    constant = _frame(ctx, kind, precision).constant
+    with mp.workprec(precision + GUARD_BITS):
+        return tuple(
+            qtrig_certified(ctx, trig, 2 * constant * z, precision=precision) for trig in _TRIG_PAIR[kind]
+        )
+
+
 def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
     """Leading asymptotic term of the degree-n polynomial at real z.
 
@@ -305,11 +315,9 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
     ctx.require_numeric()
     precision = ctx.float_precision_bits
     frame = _frame(ctx, kind, precision)
-    cos_kind, sin_kind = _TRIG_PAIR[kind]
     with mp.workprec(precision + GUARD_BITS):
-        z = to_mpf(z)
-        cos_at_2cz, cos2_bound = qtrig_certified(ctx, cos_kind, 2 * frame.constant * z, precision=precision)
-        sin_at_2cz, sin2_bound = qtrig_certified(ctx, sin_kind, 2 * frame.constant * z, precision=precision)
+        z = to_mpf(z)  # junk raises here, before z becomes a memo key
+        (cos_at_2cz, cos2_bound), (sin_at_2cz, sin2_bound) = _trig_at_2cz(ctx, kind, precision, z)
         if n % 2 == 0:
             parity = "even"
             combination = cos_at_2cz * frame.cos_at_c + sin_at_2cz * frame.sin_at_c

@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import lcm
 
 from .qcore import (
-    QContext, cached_row, check_degree, check_kind, q_binomial, q_factorial, q_int, rational, require_exact_alpha,
+    QContext, cached_row, check_degree, check_kind, dot, q_binomial, q_factorial, q_int, rational,
+    require_exact_alpha,
 )
 from .series import PolyZ, _exp_row, appell_poly, exp_weight
 
@@ -83,7 +84,7 @@ def _moments(ctx: QContext, kind: int, row):
             pair = (1 - ctx.q**j) * (1 - ctx.q_pow(2 * ctx.alpha + j))
             weight *= ctx.q_pow_quarters(4 * j - 2) * (1 - ctx.q) ** 2 / pair
             even = weight / 2**j
-        yield even - sum(h[i] * row[j - i] for i in range(1, j + 1))
+        yield even - dot(h[1:], reversed(row))  # sum_{i=1..j} h_i row_(j-i)
 
 
 def mu(ctx: QContext, kind: int, m: int) -> Fraction:
@@ -98,7 +99,7 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
                / ((q^2;q^2)_k (q^(2a+2);q^2)_k),
     found by dividing that series at t/2 by exp_q(-t/2).  mu_0 = 1 for every kind.
     """
-    return q_factorial(ctx, m) * _moments(ctx, kind, m)[m]
+    return q_factorial(ctx, check_degree(m, "m")) * _moments(ctx, kind, m)[m]
 
 
 def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
@@ -130,7 +131,7 @@ def _numbers(ctx: QContext, kind: int, row):
     yield _moments(ctx, kind, 0)[0]  # b_0 = mu_0 = 1, after the moments' checks
     while True:
         moments = _moments(ctx, kind, len(row))
-        yield -sum(moments[k] * row[-k] for k in range(1, len(row) + 1))
+        yield -dot(moments[1:], reversed(row))  # -sum_{k=1..m} mu_k/[k]_q! b_(m-k)
 
 
 def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:

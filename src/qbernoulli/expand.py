@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .qcore import QBernError, QContext, check_degree, q_pochhammer, rational
+from .qcore import QBernError, QContext, check_degree, dot, q_pochhammer, rational
 from .detrep import _moments, _numbers
 from .qfun import _workprec, to_mpf
 from .series import PolyZ, _exp_row
@@ -254,7 +254,7 @@ def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weights) -> list[F
     while g and not g[-1]:
         g.pop()
     w = weights(len(g) - 1) if g else []
-    return [sum((gk * wj for gk, wj in zip(g[n:], w)), Fraction(0)) for n in range(N + 1)]
+    return [dot(g[n:], w) for n in range(N + 1)]
 
 
 def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
@@ -269,7 +269,7 @@ def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
     if not ls:
         return PolyZ()
     row, b = _exp_row(ctx, 2, len(ls) - 1), _numbers(ctx, 2, len(ls) - 1)
-    return PolyZ([row[i] * sum(l * bj for l, bj in zip(ls[i:], b)) for i in range(len(ls))])
+    return PolyZ([row[i] * dot(ls[i:], b) for i in range(len(ls))])
 
 
 def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:

@@ -15,15 +15,19 @@ approximated on the exact paths.
 
 Each argument class has one check here: :func:`check_degree` for degrees,
 :func:`check_kind` for family kinds and :func:`rational` for exact points.
+Every exact dot product of the recurrences (numbers, kind-3 moments, the
+oracle's s, the expansion functionals and their partial sum) goes through
+one kernel, :func:`dot`, which normalises once per sum.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
 process-wide precision).  Results worth keeping live in one dict per
 context, bounded to the CACHED_CONTEXTS most recently used.  Its exact rows
-(q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s) grow
-only through :func:`cached_row`, and its numeric results (first zeros,
-leading-term frames) are memoised only by :func:`cached`, so counters or a
-byte budget need attach at those two decorators alone.
+(q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s, the
+ladder operators' factors) grow only through :func:`cached_row`, and its
+numeric results (first zeros, leading-term frames and trig pairs) are
+memoised only by :func:`cached`, so counters or a byte budget need attach
+at those two decorators alone.
 """
 
 from __future__ import annotations
@@ -267,6 +271,26 @@ def cached(compute):
 def require_exact_alpha(ctx: QContext):
     if not ctx.exact_alpha:
         raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % ctx.alpha)
+
+
+def dot(xs, ys) -> Fraction:
+    """Exact sum of x*y over zip(xs, ys) (Fractions or ints), Fraction(0) when empty.
+
+    Each product is cross-cancelled as Fraction.__mul__ does and added into
+    one integer numerator over the running lcm of the denominators; the sum
+    is normalised once, at the end, instead of once per product and partial sum.
+    """
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        g, h = math.gcd(xn, yd), math.gcd(yn, xd)
+        pn, pd = (xn // g) * (yn // h), (xd // h) * (yd // g)
+        if pd == den:
+            num += pn
+        elif pn:
+            g = math.gcd(den, pd)
+            num, den = num * (pd // g) + pn * (den // g), den // g * pd
+    return Fraction(num, den)
 
 
 def q_int(ctx: QContext, n: int) -> Fraction:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qcore import QBernError, QContext, cached_row, check_degree, check_kind, q_factorials, require_exact_alpha
+from .qcore import (
+    QBernError, QContext, cached_row, check_degree, check_kind, dot, q_factorials, require_exact_alpha,
+)
 
 
 class PolyZ:
@@ -272,7 +274,9 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
     Divided by :func:`gf_denominator`, it is the tests' reference for the
     read-off in :func:`oracle_bernoulli`.
     """
-    require_exact_alpha(ctx)
+    require_exact_alpha(ctx)  # alpha, kind, then N, as in gf_denominator
+    check_kind(kind)
+    check_degree(N, "N")
     at_z = TruncatedSeries(
         [PolyZ.monomial(m, c) for m, c in enumerate(exponential_series(ctx, kind, N, 1).coeffs)]
     )
@@ -295,7 +299,8 @@ def _oracle_scalars(ctx: QContext, kind: int, s):
     while True:
         m = len(s)
         g, h = _even_row(ctx, kind, m // 2), _exp_row(ctx, kind, m)[m] * half
-        yield h - sum(g[j] * s[m - 2 * j] for j in range(1, m // 2 + 1))
+        # s[m % 2::2] holds s_(m-2j) for j = m//2 down to 1, and is empty for m < 2
+        yield h - dot(g[1:], reversed(s[m % 2::2]))
         half /= -2
 
 

@@ -315,6 +315,24 @@ class TestRatioDiagnostic:
             with mp.workprec(168):
                 assert row.float_value == to_mpf(bernoulli_number(ctx, 2, row.n))
 
+    def test_trig_pair_at_2cz_is_computed_once_per_point(self, monkeypatch):
+        # the pair at 2cz depends on z alone, so a sweep over degrees sums it once;
+        # the frame's pair at c accounts for the other two calls
+        ctx = ctx_q("1/2", bits=133)
+        calls = []
+
+        def counting(ctx, kind, z, precision):
+            calls.append(kind)
+            return qtrig_certified(ctx, kind, z, precision=precision)
+
+        monkeypatch.setattr(asympt, "qtrig_certified", counting)
+        first = ratio_diagnostic(ctx, 2, Fraction(1, 4), range(1, 9))
+        assert len(calls) == 4
+        assert ratio_diagnostic(ctx, 2, Fraction(1, 4), range(1, 9)) == first
+        assert len(calls) == 4
+        ratio_diagnostic(ctx, 2, Fraction(1, 5), [3])
+        assert len(calls) == 6
+
     def test_vanishing_combination_is_flagged(self):
         # at z = 0 and alpha = 1/2 the odd-degree combination is the sine
         # value at its own zero: the numbers vanish exactly, the computed

@@ -68,6 +68,11 @@ class TestMu:
                 for kind in (1, 2, 3):
                     assert mu(ctx, kind, 1) == Fraction(1, 2)
 
+    def test_negative_order_names_m(self):
+        for kind in (1, 2, 3):
+            with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+                mu(ctx_q("1/4"), kind, -1)
+
     def test_second_kind1(self):
         assert mu(ctx_q("1/2"), 1, 2) == Fraction(15, 56)
 

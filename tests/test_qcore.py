@@ -11,7 +11,7 @@ from qbernoulli import (
     q_int,
     q_pochhammer,
 )
-from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache
+from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot
 
 
 def ctx_q(q, alpha="1/2"):
@@ -85,6 +85,24 @@ class TestQPochhammer:
         whole = q_pochhammer(a, base, m + n)
         split = q_pochhammer(a, base, m) * q_pochhammer(a * base**m, base, n)
         assert whole == split
+
+
+SCALARS = st.fractions(min_value=-50, max_value=50, max_denominator=60) | st.integers(-5, 5) | st.just(0)
+
+
+class TestDot:
+    @given(xs=st.lists(SCALARS, max_size=8), ys=st.lists(SCALARS, max_size=8))
+    def test_equals_the_sum_of_products(self, xs, ys):
+        # unequal lengths stop at the shorter, as zip does; the empty sum is Fraction(0)
+        expected = sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+        result = dot(xs, ys)
+        assert type(result) is Fraction
+        assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+
+    def test_examples(self):
+        assert dot([], []) == 0 and type(dot([], [])) is Fraction
+        assert dot([Fraction(1, 6), Fraction(1, 10)], [3, 5]) == 1
+        assert dot([Fraction(-2, 3), 0], [Fraction(9, 4), Fraction(7, 5), 11]) == Fraction(-3, 2)
 
 
 class TestQPower:

@@ -175,14 +175,15 @@ class TestGeneratingFunction:
                     assert g_row == [closed_form(ctx, kind, n) for n in range(11)]
 
     def test_negative_order_is_a_value_error(self):
-        # after the exact-alpha and kind checks, which keep their messages
+        # after the exact-alpha and kind checks, which keep their messages, in both series
         ctx = ctx_q(Fraction(1, 4))
-        with pytest.raises(ValueError, match="N must be >= 0"):
-            gf_denominator(ctx, 1, -1)
-        with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
-            gf_denominator(ctx, 4, -1)
-        with pytest.raises(ExactModeError, match="4\\*alpha"):
-            gf_denominator(ctx.with_alpha(Fraction(1, 3)), 4, -1)
+        for series in (gf_denominator, gf_numerator):
+            with pytest.raises(ValueError, match="^N must be >= 0, got -1$"):
+                series(ctx, 1, -1)
+            with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+                series(ctx, 4, -1)
+            with pytest.raises(ExactModeError, match="4\\*alpha"):
+                series(ctx.with_alpha(Fraction(1, 3)), 4, -1)
 
     def test_exponential_row_matches_closed_form(self):
         # the cached row, extended in two steps on cold cache entries, against
