@@ -278,15 +278,13 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
                 payload["truncation_bound"] = _fmt_float(to_mpf(bound), precision)
         if at_point is not None:
             z = _parse_rational(at_point, "--at")
-            value = expand_mod.reconstruct(ctx, stream, z, n_terms)
+            poly = expand_mod.reconstruct_poly(ctx, stream, n_terms)
             payload["reconstruction"] = {
                 "at": str(z),
-                "value": _fmt_float(value, precision),
+                "value": _fmt_float(expand_mod._round_at(ctx, poly, z), precision),
             }
             if stream.tail_kind == "finite":
-                payload["reconstruction"]["exact_identity"] = (
-                    expand_mod.reconstruct_poly(ctx, stream, n_terms) == stream.as_polynomial()
-                )
+                payload["reconstruction"]["exact_identity"] = poly == stream.as_polynomial()
     except ValueError as exc:
         raise click.UsageError("bad stream file: %s" % exc)
     params = _echo_params(ctx, terms=n_terms, input=str(input_path))

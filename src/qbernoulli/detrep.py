@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .qcore import (
-    QContext, cached_row, check_degree, check_kind, dot, q_binomial, q_factorial, q_int, rational,
+    QContext, cached_row, check_degree, check_kind, dot, q_binomial, q_factorial, rational,
     require_exact_alpha,
 )
 from .series import PolyZ, _exp_row, appell_poly, exp_weight
@@ -71,10 +71,15 @@ def _moments(ctx: QContext, kind: int, row):
     check_kind(kind)
     require_exact_alpha(ctx)  # m_0 = 1 needs no q-power, but only an exact context has moments
     yield Fraction(1)
-    while kind in (1, 2):
-        j = len(row)
-        ratio = (1 - ctx.q_pow(2 * ctx.alpha + 2 * j - 1)) / (1 - ctx.q_pow(2 * ctx.alpha + j)) if j > 1 else 1
-        yield row[-1] * ratio / 2 / q_int(ctx, j)
+    if kind in (1, 2):
+        yield Fraction(1, 2)  # j = 1: an empty ratio over 2 [1]_q
+        # running q^(2a+2j-1), q^(2a+j) and [j]_q from j = 2, where a missing root raises
+        odd, shifted, k = ctx.q_pow(2 * ctx.alpha + 3), ctx.q_pow(2 * ctx.alpha + 2), Fraction(1)
+        q, q2 = ctx.q, ctx.q**2
+        while True:
+            k = 1 + q * k
+            yield row[-1] * (1 - odd) / ((1 - shifted) * 2 * k)
+            odd, shifted = odd * q2, shifted * q
     # h_j = w_j/[j]_q! (-1/2)^j and weight_k = q^(k(k+1/2)) (1-q)^(2k) / ((q^2;q^2)_k (q^(2a+2);q^2)_k)
     h, half, weight = [Fraction(1)], Fraction(1), Fraction(1)
     while True:

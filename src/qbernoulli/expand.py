@@ -275,8 +275,13 @@ def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
 def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:
     """Partial expansion at real z: reconstruct_poly, rounded once in working precision."""
     ctx.require_numeric()
+    return _round_at(ctx, reconstruct_poly(ctx, stream, N), z)
+
+
+def _round_at(ctx: QContext, poly: PolyZ, z) -> mpf:
+    """poly at real z, evaluated and rounded once in the working precision of ctx."""
     with mp.workprec(_workprec(ctx)):
-        return +reconstruct_poly(ctx, stream, N)(to_mpf(z))
+        return +poly(to_mpf(z))
 
 
 def corollary_wrappers(ctx: QContext, stream: CoefficientStream, variant: str, N: int) -> list[Fraction]:

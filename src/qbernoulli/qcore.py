@@ -17,7 +17,10 @@ Each argument class has one check here: :func:`check_degree` for degrees,
 :func:`check_kind` for family kinds and :func:`rational` for exact points.
 Every exact dot product of the recurrences (numbers, kind-3 moments, the
 oracle's s, the expansion functionals and their partial sum) goes through
-one kernel, :func:`dot`, which normalises once per sum.
+one kernel, :func:`dot`, which normalises once per sum.  Every polynomial
+coefficient the two routes read off goes through its sibling
+:func:`scaled_products`, which builds each triple product once, already in
+lowest terms.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
@@ -36,7 +39,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 
 ExactScalar = Fraction
 
@@ -291,6 +294,34 @@ def dot(xs, ys) -> Fraction:
             g = math.gcd(den, pd)
             num, den = num * (pd // g) + pn * (den // g), den // g * pd
     return Fraction(num, den)
+
+
+# Fraction._mul returns its cross-cancelled product through a private constructor that skips
+# the gcd, since such a product of two canonical fractions is already in lowest terms: it is
+# Fraction._from_coprime_ints on Python 3.12+ and Fraction(n, d, _normalize=False) before.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime = Fraction._from_coprime_ints
+else:
+    _coprime = partial(Fraction, _normalize=False)
+
+
+def scaled_products(f, xs, ys) -> list:
+    """[f*x*y for x, y in zip(xs, ys)] (Fractions or ints), each entry a Fraction.
+
+    Both products are cross-cancelled in integers as Fraction.__mul__ does,
+    and each entry is built once, already in lowest terms.  One normalising
+    Fraction(f.n*x.n*y.n, f.d*x.d*y.d) per entry costs about the same on small
+    tables, but its single gcd of the full products doubled the read-off of
+    every degree 0..100 at from_fourth_root(1/2, 1/2) (0.40 -> 0.79 s, kind 2).
+    """
+    fn, fd, out = f.numerator, f.denominator, []
+    for x, y in zip(xs, ys):
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        g, h = math.gcd(fn, xd), math.gcd(xn, fd)
+        pn, pd = (fn // g) * (xn // h), (fd // h) * (xd // g)
+        g, h = math.gcd(pn, yd), math.gcd(yn, pd)
+        out.append(_coprime((pn // g) * (yn // h), (pd // h) * (yd // g)))
+    return out
 
 
 def q_int(ctx: QContext, n: int) -> Fraction:

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .qcore import (
     QBernError, QContext, cached_row, check_degree, check_kind, dot, q_factorials, require_exact_alpha,
+    scaled_products,
 )
 
 
@@ -47,6 +48,15 @@ class PolyZ:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyZ is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PolyZ is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not through setattr
+        return PolyZ, (self.coeffs,)
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "PolyZ":
@@ -286,9 +296,16 @@ def gf_numerator(ctx: QContext, kind: int, N: int) -> TruncatedSeries:
 
 
 def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
-    """[n]_q! [t^n] e(zt) s(t): z**i coefficient [n]_q!/[i]_q! w_i s_(n-i)."""
+    """[n]_q! [t^n] e(zt) s(t): z**i coefficient [n]_q!/[i]_q! w_i s_(n-i).
+
+    Each coefficient is one :func:`qbernoulli.qcore.scaled_products` entry:
+    [n]_q! times the cached w_i / [i]_q! times s_(n-i), cross-cancelled pair
+    by pair in integers and built once in lowest terms.  Cross-cancelling
+    keeps the gcds on the smaller factors, where one gcd of the full
+    product per coefficient doubles the cost at deep degrees.
+    """
     row, f = _exp_row(ctx, kind, n), q_factorials(ctx, n)[n]
-    return PolyZ([f * row[i] * s[n - i] for i in range(n + 1)])
+    return PolyZ(scaled_products(f, row[: n + 1], reversed(s[: n + 1])))
 
 
 @cached_row

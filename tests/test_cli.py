@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qbernoulli import PolyZ, QContext, bernoulli_poly_det
-from qbernoulli.cli import main
+from qbernoulli.cli import _fmt_float, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,6 +269,26 @@ class TestExpand:
         reconstruction = json.loads(result.stdout)["payload"]["reconstruction"]
         assert reconstruction["value"].startswith("-0.2102808684313028163")
         assert reconstruction["exact_identity"] is True
+
+    def test_at_reconstructs_once(self, tmp_path, monkeypatch):
+        # one exact partial sum serves both the rounded value and exact_identity
+        from qbernoulli import expand
+
+        calls = []
+        reconstruct_poly = expand.reconstruct_poly
+        monkeypatch.setattr(expand, "reconstruct_poly", lambda *a: calls.append(a) or reconstruct_poly(*a))
+        stream = tmp_path / "stream.json"
+        stream.write_text('{"coefficients": ["1", "-2/3", "0", "5"], "tail": "finite"}')
+        result = run(
+            "expand", "--q-quarter", "1/2", "--alpha", "1/2",
+            "--input", str(stream), "--terms", "6", "--at", "1/3",
+        )
+        assert result.exit_code == 0 and len(calls) == 1
+        reconstruction = json.loads(result.stdout)["payload"]["reconstruction"]
+        assert reconstruction["exact_identity"] is True
+        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))
+        value = expand.reconstruct(ctx, expand.CoefficientStream.finite([1, Fraction(-2, 3), 0, 5]), Fraction(1, 3), 6)
+        assert reconstruction["value"] == _fmt_float(value, 128)
 
     def test_pochhammer_stream_l0(self, tmp_path):
         stream = tmp_path / "stream.json"

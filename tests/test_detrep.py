@@ -92,6 +92,28 @@ class TestMu:
                 expected *= 1 + q**j
             assert mu(ctx, 1, m) == expected
 
+    def test_kinds_1_and_2_match_the_closed_product(self):
+        # the running products of the row against the docstring's product, term by term
+        for alpha in ALPHAS + [Fraction(-1, 4), Fraction(3, 4)]:
+            base = QContext.from_q(Fraction(1, 16), alpha)
+            for ctx in (base, base.reciprocal_base()):
+                a, expected = ctx.alpha, Fraction(1)
+                for m in range(31):
+                    if m:
+                        expected /= 2
+                    if m > 1:
+                        j = m - 1
+                        expected *= (1 - ctx.q_pow(2 * a + 1 + 2 * j)) / (1 - ctx.q_pow(2 * a + 1 + j))
+                    for kind in (1, 2):
+                        assert mu(ctx, kind, m) == expected
+
+    def test_kinds_1_and_2_need_the_root_from_m_2(self):
+        ctx = QContext.from_q(Fraction(1, 2), Fraction(1, 4))  # q^(2a) = q^(1/2) is irrational
+        for kind in (1, 2):
+            assert mu(ctx, kind, 1) == Fraction(1, 2)
+            with pytest.raises(ExactModeError, match=r"^exact q\*\*\(7/2\) needs a rational square root of q=1/2$"):
+                mu(ctx, kind, 2)
+
     def test_kind3_matches_the_reciprocal_expq_formula(self):
         # the docstring's sum over c = 1/exp_q, while mu divides by exp_q(-t/2)
         for ctx in (ctx_q("1/4", "0"), QContext.from_fourth_root(Fraction(2, 3), Fraction(-1, 4))):
@@ -233,6 +255,7 @@ class TestPolynomials:
             return table
 
         cases = [(QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2)), 30)]
+        cases += [(QContext.from_fourth_root(Fraction(2, 3), Fraction(-1, 4)), 40)]
         cases += [(QContext.from_q(q, alpha), 12) for q in SQUARE_QS for alpha in ALPHAS]
         for ctx, n_max in cases:
             for kind in (1, 2, 3):

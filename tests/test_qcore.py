@@ -11,7 +11,7 @@ from qbernoulli import (
     q_int,
     q_pochhammer,
 )
-from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot
+from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot, scaled_products
 
 
 def ctx_q(q, alpha="1/2"):
@@ -103,6 +103,26 @@ class TestDot:
         assert dot([], []) == 0 and type(dot([], [])) is Fraction
         assert dot([Fraction(1, 6), Fraction(1, 10)], [3, 5]) == 1
         assert dot([Fraction(-2, 3), 0], [Fraction(9, 4), Fraction(7, 5), 11]) == Fraction(-3, 2)
+
+
+class TestScaledProducts:
+    @given(f=SCALARS, xs=st.lists(SCALARS, max_size=8), ys=st.lists(SCALARS, max_size=8))
+    def test_equals_the_products(self, f, xs, ys):
+        # unequal lengths stop at the shorter, as zip does; every entry is a normalised Fraction
+        result = scaled_products(f, xs, ys)
+        assert len(result) == min(len(xs), len(ys))
+        for got, x, y in zip(result, xs, ys):
+            expected = Fraction(f * x * y)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_examples(self):
+        assert scaled_products(Fraction(3, 2), [], []) == []
+        assert scaled_products(6, [Fraction(1, 4), 0, -2], [Fraction(2, 9), 5, Fraction(-1, 12)]) == [
+            Fraction(1, 3), 0, 1,
+        ]
+        zero = scaled_products(0, [Fraction(5, 7)], [Fraction(3, 11)])[0]
+        assert (zero.numerator, zero.denominator) == (0, 1)
 
 
 class TestQPower:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -60,6 +62,22 @@ class TestPolyZ:
         assert p.to_strings() == ["-1/2", "1"]
         assert PolyZ.from_strings(p.to_strings()) == p
         assert PolyZ().to_strings() == ["0"]
+
+    def test_immutable(self):
+        p = PolyZ([Fraction(-1, 2), 1])
+        before = hash(p)
+        with pytest.raises(AttributeError):
+            p.coeffs = (5,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        with pytest.raises(AttributeError):
+            p.degree = 3
+        assert p.coeffs == (Fraction(-1, 2), 1) and hash(p) == before
+
+    def test_copy_and_pickle(self):
+        for p in (PolyZ([Fraction(-1, 2), 0, Fraction(7, 3)]), PolyZ()):
+            for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert type(twin) is PolyZ and twin == p and hash(twin) == hash(p)
 
 
 class TestSeriesOps:
