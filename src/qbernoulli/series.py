@@ -300,9 +300,8 @@ def appell_poly(ctx: QContext, kind: int, n: int, s) -> PolyZ:
 
     Each coefficient is one :func:`qbernoulli.qcore.scaled_products` entry:
     [n]_q! times the cached w_i / [i]_q! times s_(n-i), cross-cancelled pair
-    by pair in integers and built once in lowest terms.  Cross-cancelling
-    keeps the gcds on the smaller factors, where one gcd of the full
-    product per coefficient doubles the cost at deep degrees.
+    by pair in integers and built once in lowest terms (one gcd of the full
+    product per coefficient instead doubles the cost at deep degrees).
     """
     row, f = _exp_row(ctx, kind, n), q_factorials(ctx, n)[n]
     return PolyZ(scaled_products(f, row[: n + 1], reversed(s[: n + 1])))

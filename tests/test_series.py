@@ -70,8 +70,6 @@ class TestPolyZ:
             p.coeffs = (5,)
         with pytest.raises(AttributeError):
             del p.coeffs
-        with pytest.raises(AttributeError):
-            p.degree = 3
         assert p.coeffs == (Fraction(-1, 2), 1) and hash(p) == before
 
     def test_copy_and_pickle(self):
