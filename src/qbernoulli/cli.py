@@ -278,7 +278,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
                 payload["truncation_bound"] = _fmt_float(to_mpf(bound), precision)
         if at_point is not None:
             z = _parse_rational(at_point, "--at")
-            poly = expand_mod.reconstruct_poly(ctx, stream, n_terms)
+            poly = expand_mod._read_off(ctx, ls)
             payload["reconstruction"] = {
                 "at": str(z),
                 "value": _fmt_float(expand_mod._round_at(ctx, poly, z), precision),

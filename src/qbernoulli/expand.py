@@ -258,12 +258,18 @@ def _l_sums(ctx: QContext, stream: CoefficientStream, N: int, weights) -> list[F
 
 
 def reconstruct_poly(ctx: QContext, stream: CoefficientStream, N: int) -> PolyZ:
-    """Exact partial expansion sum_{n<=N} L_n B_n / [n]_q! as a PolyZ, read off the
-    cached kind-2 rows in one pass: [z^i] B_n / [n]_q! = (w_i / [i]_q!) b_(n-i), and
-    no row is read past the last nonzero L_n.  For a finite stream with N at least
-    its degree this reproduces the stream polynomial identically.
+    """Exact partial expansion sum_{n<=N} L_n B_n / [n]_q! as a PolyZ.  For a finite
+    stream with N at least its degree this reproduces the stream polynomial identically.
     """
-    ls = l_coefficients(ctx, stream, N)
+    return _read_off(ctx, l_coefficients(ctx, stream, N))
+
+
+def _read_off(ctx: QContext, ls: list) -> PolyZ:
+    """sum_n L_n B_n / [n]_q! over the row ls = L_0..L_N, read off the cached kind-2 rows in
+    one pass: [z^i] B_n / [n]_q! = (w_i / [i]_q!) b_(n-i), and no row is read past the last
+    nonzero L_n.  ls itself is left as it is.
+    """
+    ls = list(ls)
     while ls and not ls[-1]:
         ls.pop()
     if not ls:

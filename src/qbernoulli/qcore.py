@@ -7,9 +7,9 @@ string ``"p/r"`` (or ``"p"`` for integers) via ``str()``; parse them back
 with ``Fraction(s)``.
 
 A :class:`QContext` carries the base ``q`` together with whichever of its
-roots ``q**(1/2)`` and ``q**(1/4)`` are themselves rational, the order
-parameter ``alpha``, and the binary precision used for floating-point
-evaluation.  Exact operations that need a q-root the context cannot
+roots ``q**(1/2)`` and ``q**(1/4)`` are themselves rational (it derives
+them from ``q``; they are never passed in), the order parameter ``alpha``,
+and the binary precision used for floating-point evaluation.  Exact operations that need a q-root the context cannot
 represent raise :class:`ExactModeError`; nothing is ever silently
 approximated on the exact paths.
 
@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial, wraps
+from numbers import Rational
 
 ExactScalar = Fraction
 
@@ -67,8 +68,9 @@ def _integer_root(n: int, k: int) -> int | None:
 
 
 def rational_root(x: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a nonnegative rational (k in {2, 4}), or None."""
-    if x < 0:
+    """Exact k-th root of x (k in {2, 4}) when x is a nonnegative rational whose root is
+    rational; None otherwise, a float or an mpf x included."""
+    if not isinstance(x, Rational) or x < 0:
         return None
     num = _integer_root(x.numerator, k)
     den = _integer_root(x.denominator, k)
@@ -84,20 +86,20 @@ class QContext:
     ``q`` is the base (numeric work requires ``0 < q < 1``), ``alpha`` the
     order parameter (``alpha > -1``), and ``float_precision_bits`` the
     target precision of floating results.  ``sqrt_q`` / ``fourth_root_q``
-    hold exact roots when they exist; ``q_pow_quarters`` consults them.
+    hold the exact roots of q when they are rational and None otherwise;
+    the context derives them from q, and ``q_pow_quarters`` consults them.
 
     Construct through :meth:`from_fourth_root` (full exactness for all
-    three polynomial families) or :meth:`from_q` (exact roots detected
-    when rational).  :meth:`reciprocal_base` builds the base-``1/q``
-    context used by the q <-> 1/q symmetry of the type-1/type-2 families;
-    such a context supports exact arithmetic only.
+    three polynomial families) or :meth:`from_q`.  :meth:`reciprocal_base`
+    builds the base-``1/q`` context used by the q <-> 1/q symmetry of the
+    type-1/type-2 families; such a context supports exact arithmetic only.
     """
 
     q: Fraction
     alpha: Fraction
     float_precision_bits: int = 128
-    sqrt_q: Fraction | None = None
-    fourth_root_q: Fraction | None = None
+    sqrt_q: Fraction | None = field(init=False, compare=False)
+    fourth_root_q: Fraction | None = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.q <= 0 or self.q == 1:
@@ -106,10 +108,10 @@ class QContext:
             raise ValueError("alpha must be > -1")
         if type(self.float_precision_bits) is not int or self.float_precision_bits < 1:
             raise ValueError("float_precision_bits must be a positive integer, got %r" % (self.float_precision_bits,))
+        object.__setattr__(self, "sqrt_q", rational_root(self.q, 2))
+        object.__setattr__(self, "fourth_root_q", rational_root(self.q, 4))
         # every cache lookup hashes the context, and each Fraction hash
-        # computes a modular inverse: hash once.  The roots are left out,
-        # since equal contexts agree on them anyway and hash(None) is not
-        # stable across processes.
+        # computes a modular inverse: hash once
         object.__setattr__(self, "_hash", hash((self.q, self.alpha, self.float_precision_bits)))
 
     def __hash__(self):
@@ -120,38 +122,18 @@ class QContext:
         b = Fraction(b)
         if not 0 < b < 1:
             raise ValueError("fourth root of q must satisfy 0 < b < 1")
-        return cls(
-            q=b**4,
-            alpha=Fraction(alpha),
-            float_precision_bits=float_precision_bits,
-            sqrt_q=b**2,
-            fourth_root_q=b,
-        )
+        return cls(q=b**4, alpha=Fraction(alpha), float_precision_bits=float_precision_bits)
 
     @classmethod
     def from_q(cls, q, alpha, float_precision_bits: int = 128) -> "QContext":
         q = Fraction(q)
         if not 0 < q < 1:
             raise ValueError("base q must satisfy 0 < q < 1")
-        sq = rational_root(q, 2)
-        b = rational_root(q, 4)
-        return cls(
-            q=q,
-            alpha=Fraction(alpha),
-            float_precision_bits=float_precision_bits,
-            sqrt_q=sq,
-            fourth_root_q=b,
-        )
+        return cls(q=q, alpha=Fraction(alpha), float_precision_bits=float_precision_bits)
 
     def reciprocal_base(self) -> "QContext":
         """Context with q replaced by 1/q (exact arithmetic only)."""
-        return QContext(
-            q=1 / self.q,
-            alpha=self.alpha,
-            float_precision_bits=self.float_precision_bits,
-            sqrt_q=None if self.sqrt_q is None else 1 / self.sqrt_q,
-            fourth_root_q=None if self.fourth_root_q is None else 1 / self.fourth_root_q,
-        )
+        return replace(self, q=1 / self.q)
 
     def with_alpha(self, alpha) -> "QContext":
         return replace(self, alpha=Fraction(alpha))

@@ -12,13 +12,15 @@ a certified truncation: each series is summed until an explicit term-ratio
 bound shows the tail (plus accumulated rounding slack) is below the target.
 Sign decisions near zeros therefore never rest on a bare float comparison;
 the ``*_certified`` functions expose the (value, bound) pairs the
-root-bracketing machinery consumes.
+root-bracketing machinery consumes.  Every such series goes through one
+envelope, :func:`_certified_series`, and keeps only its term rule.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 from mpmath import mp, mpf
@@ -83,6 +85,21 @@ def _workprec(ctx: QContext, precision=None):
     return _checked_precision(ctx, precision) + GUARD_BITS
 
 
+def _certified_series(ctx: QContext, precision, terms, *points, check=None):
+    """(value, bound) of the series that terms(q, *points) gives as (first_term, step), summed by
+    certified_sum at the working precision with q and the points in mpf; a step of None makes
+    first_term the exact value, with bound 0.  check, when given, runs between the context's
+    check and the precision's.  certified_sum is read from the module on every call, so a
+    wrapper bound there sees every series."""
+    ctx.require_numeric()
+    if check is not None:
+        check()
+    wp = _workprec(ctx, precision)
+    with mp.workprec(wp):
+        first, step = terms(to_mpf(ctx.q), *map(to_mpf, points))
+        return (first, mpf(0)) if step is None else certified_sum(first, step, wp)
+
+
 def rounded_to_context(ctx: QContext, value) -> mpf:
     """Round a working-precision value to the context's stated precision."""
     with mp.workprec(ctx.float_precision_bits):
@@ -93,39 +110,38 @@ def rounded_to_context(ctx: QContext, value) -> mpf:
 # q-exponentials
 
 
-def _weight(family: int, q: mpf):
-    """e -> 1, q**e or sqrt(q)**e: the one weight rule of the three families.
+def _weight(family: int, q: mpf, z: mpf, functions: str):
+    """(x, weight): x = z(1-q), and weight e -> 1, q**e or sqrt(q)**e, the one weight rule
+    of the three families; family 1's functions converge only for |z| < 1/(1-q).
 
     The exponential weights w_n (1, q^(n(n-1)/2), q^(n(n-1)/4)) step as
     w_(n+1) = weight(n) w_n, and the trig pairs, two terms at a time, as
     w_(n+2) = weight(2n+1) w_n.
     """
+    if family == 1 and abs(z) * (1 - q) >= 1:
+        raise DomainError("%s defined only for |z| < 1/(1-q)" % functions)
+    x = z * (1 - q)
     if family == 1:
-        return lambda e: mpf(1)
+        return x, lambda e: mpf(1)
     if family == 2:
-        return lambda e: q**e
+        return x, lambda e: q**e
     sq = mpmath.sqrt(q)
-    return lambda e: sq**e
+    return x, lambda e: sq**e
 
 
 def _exponential(ctx: QContext, family: int, z) -> mpf:
     """The family's q-exponential at z (e_q, E_q, exp_q for 1, 2, 3)."""
-    ctx.require_numeric()
-    wp = _workprec(ctx)
-    with mp.workprec(wp):
-        q = to_mpf(ctx.q)
-        z = to_mpf(z)
-        if family == 1 and abs(z) * (1 - q) >= 1:
-            raise DomainError("e_q is defined only for |z| < 1/(1-q)")
-        x = z * (1 - q)
-        weight = _weight(family, q)
+
+    def terms(q, z):
+        x, weight = _weight(family, q, z, "e_q is")
 
         def step(n, term):
             w, d = weight(n), 1 - q ** (n + 1)
             return term * w * x / d, abs(x) * w / d
 
-        value, _ = certified_sum(mpf(1), step, wp)
-    return rounded_to_context(ctx, value)
+        return mpf(1), step
+
+    return rounded_to_context(ctx, _certified_series(ctx, None, terms, z)[0])
 
 
 def eval_eq(ctx: QContext, z) -> mpf:
@@ -175,18 +191,12 @@ def qtrig_certified(ctx: QContext, kind: QTrigKind, z, precision=None):
     at imaginary argument, with the i-powers resolved to alternating real
     signs; no complex arithmetic is involved.
     """
-    ctx.require_numeric()
-    family, parity = _TRIG_FAMILY[check_kind(kind, tuple(QTrigKind))]
-    wp = _workprec(ctx, precision)
-    with mp.workprec(wp):
-        q = to_mpf(ctx.q)
-        z = to_mpf(z)
+
+    def terms(q, z):
+        family, parity = _TRIG_FAMILY[kind]
         if z == 0:
-            return mpf(1 - parity), mpf(0)
-        if family == 1 and abs(z) * (1 - q) >= 1:
-            raise DomainError("sin_q/cos_q are defined only for |z| < 1/(1-q)")
-        x = z * (1 - q)
-        weight = _weight(family, q)
+            return mpf(1 - parity), None
+        x, weight = _weight(family, q, z, "sin_q/cos_q are")
         first = x**parity
         for k in range(1, parity + 1):
             first /= 1 - q**k
@@ -196,24 +206,29 @@ def qtrig_certified(ctx: QContext, kind: QTrigKind, z, precision=None):
             f = weight(2 * n_cur + 1) * x * x / ((1 - q ** (n_cur + 1)) * (1 - q ** (n_cur + 2)))
             return -term * f, f
 
-        return certified_sum(first, step, wp)
+        return first, step
+
+    return _certified_series(ctx, precision, terms, z, check=partial(check_kind, kind, tuple(QTrigKind)))
 
 
 def eval_qtrig(ctx: QContext, kind: QTrigKind, z) -> mpf:
-    value, _ = qtrig_certified(ctx, kind, z)
-    return rounded_to_context(ctx, value)
+    return rounded_to_context(ctx, qtrig_certified(ctx, kind, z)[0])
 
 
 # ---------------------------------------------------------------------------
 # Jackson q-Bessel functions
 
 
-def _modified_bessel_ratio(kind: int, Q: mpf, alpha: mpf, z: mpf):
-    """n -> f_n, where term n+1 of the kind's modified series in base Q
-    is -f_n times term n.
+def _bessel_terms(kind: int, base_exponent: int, derivative: bool, q: mpf, alpha: mpf, z: mpf):
+    """(first_term, step) of the kind's modified series in base Q = q**base_exponent, or of
+    its d/dz.
 
-    The kind sets the weight in f_n: 1, Q**(alpha+2n+1) or Q**(n+1).
+    Term n+1 of the series is -f_n times term n, and the kind sets the
+    weight in f_n: 1, Q**(alpha+2n+1) or Q**(n+1).  The derivative's term n
+    carries a further 2n/z, so it steps by f_n (n+1)/n; the modified function
+    is even, so at z = 0 the derivative is exactly 0.
     """
+    Q = q**base_exponent
     X = z if check_kind(kind) == 3 else z / 2
     if kind == 1 and abs(X) >= 1:
         raise DomainError("kind-1 q-Bessel series converges only for |z| < 2")
@@ -228,7 +243,18 @@ def _modified_bessel_ratio(kind: int, Q: mpf, alpha: mpf, z: mpf):
             w = Q ** (n + 1)
         return w * X * X / ((1 - Q ** (n + 1)) * (1 - Qa1 * Q**n))
 
-    return ratio
+    def step(n, term):
+        f = ratio(n)
+        return -term * f, f
+
+    def derivative_step(m, term):
+        n = m + 1  # current series index of `term` is n, producing n+1
+        f = ratio(n)
+        return -term * f * mpf(n + 1) / n, f * mpf(n + 1) / n
+
+    if not derivative:
+        return mpf(1), step
+    return (mpf(0), None) if z == 0 else (-2 * ratio(0) / z, derivative_step)
 
 
 def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, precision=None):
@@ -238,41 +264,14 @@ def modified_bessel_certified(ctx: QContext, kind: int, base_exponent: int, z, p
     power-of-z factor, so it equals 1 at z = 0.  Base q**base_exponent;
     kind 1 converges only for |z| < 2.
     """
-    ctx.require_numeric()
-    check_kind(base_exponent, (1, 2), "base_exponent")
-    wp = _workprec(ctx, precision)
-    with mp.workprec(wp):
-        Q = to_mpf(ctx.q) ** base_exponent
-        ratio = _modified_bessel_ratio(kind, Q, to_mpf(ctx.alpha), to_mpf(z))
-
-        def step(n, term):
-            f = ratio(n)
-            return -term * f, f
-
-        return certified_sum(mpf(1), step, wp)
+    terms = partial(_bessel_terms, kind, base_exponent, False)
+    check = partial(check_kind, base_exponent, (1, 2), "base_exponent")
+    return _certified_series(ctx, precision, terms, ctx.alpha, z, check=check)
 
 
 def modified_bessel_derivative_certified(ctx: QContext, kind: int, z, precision=None):
-    """(value, bound) of d/dz of the modified function, base q**2.
-
-    The modified function is even, so the derivative at z = 0 is exactly 0.
-    """
-    ctx.require_numeric()
-    wp = _workprec(ctx, precision)
-    with mp.workprec(wp):
-        z = to_mpf(z)
-        ratio = _modified_bessel_ratio(kind, to_mpf(ctx.q) ** 2, to_mpf(ctx.alpha), z)
-        if z == 0:
-            return mpf(0), mpf(0)
-        first = -2 * ratio(0) / z
-
-        def step(m, term):
-            n = m + 1  # current series index of `term` is n, producing n+1
-            f = ratio(n)
-            # term carries the 2n/z factor; the ratio picks up (n+1)/n
-            return -term * f * mpf(n + 1) / n, f * mpf(n + 1) / n
-
-        return certified_sum(first, step, wp)
+    """(value, bound) of d/dz of the modified function, base q**2."""
+    return _certified_series(ctx, precision, partial(_bessel_terms, kind, 2, True), ctx.alpha, z)
 
 
 def qpochhammer_infinite(a, q, workprec) -> mpf:
@@ -289,8 +288,7 @@ def qpochhammer_infinite(a, q, workprec) -> mpf:
 
 
 def eval_modified_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf:
-    value, _ = modified_bessel_certified(ctx, kind, base_exponent, z)
-    return rounded_to_context(ctx, value)
+    return rounded_to_context(ctx, modified_bessel_certified(ctx, kind, base_exponent, z)[0])
 
 
 def eval_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf:

@@ -271,19 +271,24 @@ class TestExpand:
         assert reconstruction["exact_identity"] is True
 
     def test_at_reconstructs_once(self, tmp_path, monkeypatch):
-        # one exact partial sum serves both the rounded value and exact_identity
+        # one L row serves the payload and the read-off, and one exact partial sum serves both
+        # the rounded value and exact_identity
         from qbernoulli import expand
 
-        calls = []
-        reconstruct_poly = expand.reconstruct_poly
-        monkeypatch.setattr(expand, "reconstruct_poly", lambda *a: calls.append(a) or reconstruct_poly(*a))
+        calls = {"l_coefficients": 0, "_read_off": 0}
+        for name in calls:
+            def counted(*a, _name=name, _fn=getattr(expand, name)):
+                calls[_name] += 1
+                return _fn(*a)
+
+            monkeypatch.setattr(expand, name, counted)
         stream = tmp_path / "stream.json"
         stream.write_text('{"coefficients": ["1", "-2/3", "0", "5"], "tail": "finite"}')
         result = run(
             "expand", "--q-quarter", "1/2", "--alpha", "1/2",
             "--input", str(stream), "--terms", "6", "--at", "1/3",
         )
-        assert result.exit_code == 0 and len(calls) == 1
+        assert result.exit_code == 0 and calls == {"l_coefficients": 1, "_read_off": 1}
         reconstruction = json.loads(result.stdout)["payload"]["reconstruction"]
         assert reconstruction["exact_identity"] is True
         ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from qbernoulli import (
     ExactModeError,
     QContext,
+    bernoulli_number,
     q_binomial,
     q_factorial,
     q_int,
@@ -174,6 +175,27 @@ class TestQContext:
         assert rec.q == 4
         assert rec.sqrt_q == 2
         assert q_int(rec, 3) == Fraction(1 - 64, 1 - 4)
+
+    def test_direct_construction_derives_roots(self):
+        # kind 3 needs the fourth root, which a directly built context finds for itself
+        ctx = QContext(q=Fraction(1, 16), alpha=Fraction(1, 2))
+        reference = QContext.from_q(Fraction(1, 16), Fraction(1, 2))
+        assert ctx == reference and hash(ctx) == hash(reference)
+        assert (ctx.sqrt_q, ctx.fourth_root_q) == (reference.sqrt_q, reference.fourth_root_q)
+        assert (ctx.sqrt_q, ctx.fourth_root_q) == (Fraction(1, 4), Fraction(1, 2))
+        assert bernoulli_number(ctx, 3, 4) == Fraction(-4312928513, 20011092541440)
+        # a float q is no rational, so it has no exact roots, as before
+        assert QContext(q=0.25, alpha=Fraction(0)).sqrt_q is None
+
+    def test_reciprocal_base_has_reciprocal_roots(self):
+        rec = QContext.from_fourth_root(Fraction(2, 3), 0).reciprocal_base()
+        assert (rec.q, rec.sqrt_q, rec.fourth_root_q) == (Fraction(81, 16), Fraction(9, 4), Fraction(3, 2))
+        assert rec == QContext(q=Fraction(81, 16), alpha=Fraction(0))
+
+    @pytest.mark.parametrize("root", ["sqrt_q", "fourth_root_q"])
+    def test_roots_are_not_parameters(self, root):
+        with pytest.raises(TypeError):
+            QContext(q=Fraction(1, 16), alpha=Fraction(1, 2), **{root: Fraction(1, 3)})
 
     def test_exact_alpha(self):
         assert QContext.from_q(Fraction(1, 2), Fraction(3, 4)).exact_alpha

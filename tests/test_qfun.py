@@ -19,6 +19,8 @@ from qbernoulli import (
     phi32,
     recip_expq_coeffs,
 )
+from qbernoulli import qfun
+from qbernoulli.asympt import bessel_derivative_at
 from qbernoulli.qfun import (
     modified_bessel_certified,
     modified_bessel_derivative_certified,
@@ -197,6 +199,52 @@ class TestArgumentChecks:
         ):
             with pytest.raises(DomainError, match="expected a finite real number, got"):
                 evaluate()
+
+    def test_checks_run_context_then_kind_then_precision(self):
+        exact_only = ctx_q("1/2").reciprocal_base()
+        for ctx, error, message in (
+            (exact_only, DomainError, "numeric evaluation requires 0 < q < 1"),
+            (ctx_q("1/2"), ValueError, "kind must be"),
+        ):
+            with pytest.raises(error, match=message):
+                qtrig_certified(ctx, "Sin_q", 1, precision=0)
+            with pytest.raises(error, match=message.replace("kind", "base_exponent")):
+                modified_bessel_certified(ctx, 2, 3, 1, precision=0)
+
+
+class TestTracerContract:
+    """perfbench/tracing.py counts series terms by rebinding qfun.certified_sum and wrapping
+    each step, so every certified series must reach it through that module global."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda ctx: eval_eq(ctx, Fraction(1, 3)),
+            lambda ctx: eval_Eq(ctx, Fraction(1, 3)),
+            lambda ctx: eval_expq(ctx, Fraction(1, 3)),
+            lambda ctx: eval_qtrig(ctx, QTrigKind.Cos_q, Fraction(1, 3)),
+            lambda ctx: eval_modified_bessel(ctx, 2, 2, Fraction(1, 3)),
+            lambda ctx: eval_bessel(ctx, 3, 1, Fraction(1, 3)),
+            lambda ctx: bessel_derivative_at(ctx, 1, Fraction(1, 3)),
+        ],
+        ids=["eval_eq", "eval_Eq", "eval_expq", "eval_qtrig", "eval_modified_bessel", "eval_bessel",
+             "bessel_derivative_at"],
+    )
+    def test_each_series_sums_through_the_module_global(self, monkeypatch, evaluate):
+        counts, summed = {"calls": 0, "terms": 0}, qfun.certified_sum
+
+        def certified_sum(first_term, step, workprec):
+            counts["calls"] += 1
+
+            def counted_step(n, term):
+                counts["terms"] += 1
+                return step(n, term)
+
+            return summed(first_term, counted_step, workprec)
+
+        monkeypatch.setattr(qfun, "certified_sum", certified_sum)
+        evaluate(ctx_q("1/4"))
+        assert counts["calls"] >= 1 and counts["terms"] >= 1
 
 
 class TestHypergeometric:
