@@ -11,7 +11,8 @@ roots ``q**(1/2)`` and ``q**(1/4)`` are themselves rational (it derives
 them from ``q``; they are never passed in), the order parameter ``alpha``,
 and the binary precision used for floating-point evaluation.  Exact operations that need a q-root the context cannot
 represent raise :class:`ExactModeError`; nothing is ever silently
-approximated on the exact paths.
+approximated on the exact paths, and a q or alpha that is not rational is
+refused there by the same error.
 
 Each argument class has one check here: :func:`check_degree` for degrees,
 :func:`check_kind` for family kinds and :func:`rational` for exact points.
@@ -50,7 +51,7 @@ class QBernError(Exception):
 
 
 class ExactModeError(QBernError):
-    """An exact operation needs a q-root this context cannot represent."""
+    """An exact operation needs a q-root this context cannot represent, or a rational q or alpha."""
 
 
 class DomainError(QBernError):
@@ -88,6 +89,8 @@ class QContext:
     target precision of floating results.  ``sqrt_q`` / ``fourth_root_q``
     hold the exact roots of q when they are rational and None otherwise;
     the context derives them from q, and ``q_pow_quarters`` consults them.
+    An int q or alpha is held as a Fraction.  A float one builds a context
+    for the numerics, but exact paths refuse it with :class:`ExactModeError`.
 
     Construct through :meth:`from_fourth_root` (full exactness for all
     three polynomial families) or :meth:`from_q`.  :meth:`reciprocal_base`
@@ -102,6 +105,10 @@ class QContext:
     fourth_root_q: Fraction | None = field(init=False, compare=False)
 
     def __post_init__(self):
+        for name in ("q", "alpha"):
+            value = getattr(self, name)
+            if type(value) is not Fraction and isinstance(value, Rational):
+                object.__setattr__(self, name, Fraction(value))
         if self.q <= 0 or self.q == 1:
             raise ValueError("base q must be positive and != 1")
         if self.alpha <= -1:
@@ -140,8 +147,8 @@ class QContext:
 
     @property
     def exact_alpha(self) -> bool:
-        """True when 4*alpha is an integer, the exact-mode requirement."""
-        return (4 * self.alpha).denominator == 1
+        """True when alpha is rational and 4*alpha an integer, the exact-mode requirement."""
+        return type(self.alpha) is Fraction and (4 * self.alpha).denominator == 1
 
     def require_numeric(self):
         if not 0 < self.q < 1:
@@ -226,6 +233,7 @@ def cached_row(terms):
         entry = rows.get(key)
         if entry and len(entry[0]) > n:
             return entry[0]
+        require_rational(ctx.q, "q")
         with cache_lock:
             values, entries = rows.setdefault(key, (new := [], terms(ctx, kind, new)))
             try:
@@ -253,8 +261,15 @@ def cached(compute):
     return memo
 
 
+def require_rational(value, name: str):
+    """ExactModeError naming the parameter when an exact path meets a q or alpha that is not rational."""
+    if type(value) is not Fraction:
+        raise ExactModeError("exact arithmetic needs a rational %s, got %s=%r" % (name, name, value))
+
+
 def require_exact_alpha(ctx: QContext):
     if not ctx.exact_alpha:
+        require_rational(ctx.alpha, "alpha")
         raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % ctx.alpha)
 
 
@@ -308,15 +323,19 @@ def scaled_products(f, xs, ys) -> list:
 
 def q_int(ctx: QContext, n: int) -> Fraction:
     """q-natural number (1 - q**n) / (1 - q); q_int(0) = 0."""
+    require_rational(ctx.q, "q")
     return (1 - ctx.q ** check_degree(n)) / (1 - ctx.q)
 
 
 @cached_row
 def _factorials(ctx: QContext, kind, row):
-    """[0]_q!, [1]_q!, ...; one row per context, whatever the kind."""
-    yield Fraction(1)
+    """[0]_q!, [1]_q!, ...; one row per context, whatever the kind, each [n]_q carried by the
+    step [n] = 1 + q [n-1]."""
+    k = Fraction(1)
+    yield k
     while True:
-        yield row[-1] * q_int(ctx, len(row))
+        yield row[-1] * k
+        k = 1 + ctx.q * k
 
 
 def q_factorials(ctx: QContext, n: int) -> list:

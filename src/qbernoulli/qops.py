@@ -7,6 +7,12 @@ operator.  Operators act on PolyZ through their monomial rules
 op(z**i) = c_i z**(i-1), which is their exact action on polynomials; the
 factors c_i are one cached row per context and kind (:func:`_factors`),
 so applying an operator is one multiply per coefficient.
+
+:func:`appell_check` builds no polynomial to test the ladder.  Every c_i
+and every [n]_q is nonzero, so op(P_n) = [n]_q P_(n-1) holds exactly when
+P_n without its constant term is as long as P_(n-1) and
+c_(i+1) P_n[i+1] = [n]_q P_(n-1)[i] for each i; each of these is decided
+cross-multiplied in integers, with no Fraction formed.
 """
 
 from __future__ import annotations
@@ -59,14 +65,23 @@ def delta_q(ctx: QContext, p: PolyZ) -> PolyZ:
 def appell_check(ctx: QContext, kind: int, n_max: int) -> list[dict]:
     """Verify the ladder relation op(P_n) = [n]_q P_(n-1) exactly.
 
-    Returns one {"kind", "n", "pass"} record per degree 1..n_max; the
-    list is JSON-ready.  Failures are report entries, never exceptions.
+    Reads P_0..P_n_max through bernoulli_poly_det and returns one
+    {"kind", "n", "pass"} record per degree 1..n_max; the list is
+    JSON-ready.  Failures are report entries, never exceptions.  Each
+    degree is decided in integers (see the module docstring).
     """
     check_kind(kind)
     polys = [bernoulli_poly_det(ctx, kind, n) for n in range(check_degree(n_max, "n_max") + 1)]
     q_ints = _factors(ctx, 1, n_max)
+    # c_1, c_2, ... to the highest degree lowered, as _lower would read them
+    factors = _factors(ctx, kind, max((p.degree for p in polys[1:]), default=0))[1:]
     report = []
     for n in range(1, n_max + 1):
-        lowered = _lower(ctx, kind, polys[n])
-        report.append({"kind": kind, "n": n, "pass": lowered == q_ints[n] * polys[n - 1]})
+        xs, ys, k = polys[n].coeffs[1:], polys[n - 1].coeffs, q_ints[n]
+        kn, kd = k.numerator, k.denominator
+        holds = len(xs) == len(ys) and all(
+            c.numerator * x.numerator * kd * y.denominator == kn * y.numerator * c.denominator * x.denominator
+            for c, x, y in zip(factors, xs, ys)
+        )
+        report.append({"kind": kind, "n": n, "pass": holds})
     return report

@@ -1,18 +1,26 @@
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qbernoulli import (
     ExactModeError,
+    PolyZ,
     QContext,
+    appell_check,
     bernoulli_number,
+    bernoulli_poly_det,
+    dq,
+    eval_Eq,
+    oracle_bernoulli,
     q_binomial,
     q_factorial,
     q_int,
     q_pochhammer,
 )
-from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot, scaled_products
+from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot, q_factorials, scaled_products
 
 
 def ctx_q(q, alpha="1/2"):
@@ -227,3 +235,51 @@ class TestQContext:
             assert q_factorial(ctx, 2) == 1 + ctx.q
         assert CACHED_CONTEXTS == 64
         assert len(_contexts) <= CACHED_CONTEXTS
+
+
+class TestParameterTypes:
+    # a float q or alpha builds a context for the numerics; exact paths name the parameter and refuse it
+    EXACT_CALLS = {
+        "q_int": lambda ctx: q_int(ctx, 3),
+        "q_factorial": lambda ctx: q_factorial(ctx, 3),
+        "q_binomial": lambda ctx: q_binomial(ctx, 3, 1),
+        "bernoulli_number": lambda ctx: bernoulli_number(ctx, 2, 3),
+        "bernoulli_poly_det": lambda ctx: bernoulli_poly_det(ctx, 2, 3),
+        "oracle_bernoulli": lambda ctx: oracle_bernoulli(ctx, 2, 3),
+        "appell_check": lambda ctx: appell_check(ctx, 2, 3),
+        "dq": lambda ctx: dq(ctx, PolyZ([1, 2, 3])),
+    }
+    ALPHA_CALLS = ("bernoulli_number", "bernoulli_poly_det", "oracle_bernoulli", "appell_check")
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CALLS))
+    def test_float_q_raises_naming_q(self, name):
+        for ctx in (QContext(q=0.5, alpha=0.5), QContext(q=0.25, alpha=Fraction(1, 2))):
+            with pytest.raises(ExactModeError, match="exact arithmetic needs a rational q, got q=%r" % ctx.q):
+                self.EXACT_CALLS[name](ctx)
+
+    @pytest.mark.parametrize("name", ALPHA_CALLS)
+    def test_float_alpha_raises_naming_alpha(self, name):
+        ctx = QContext(q=Fraction(1, 16), alpha=0.5)
+        with pytest.raises(ExactModeError, match="exact arithmetic needs a rational alpha, got alpha=0.5"):
+            self.EXACT_CALLS[name](ctx)
+        assert not ctx.exact_alpha
+        assert q_factorial(ctx, 3) == Fraction(4641, 4096)  # the q-rows do not read alpha
+
+    def test_int_parameters_are_held_as_fractions(self):
+        ctx = QContext(q=2, alpha=0)
+        assert type(ctx.q) is Fraction and type(ctx.alpha) is Fraction
+        reference = QContext.from_q(Fraction(1, 2), 0).reciprocal_base()
+        assert ctx == reference and hash(ctx) == hash(reference)
+        assert q_int(ctx, 3) == 7 and type(q_int(ctx, 3)) is Fraction
+        assert dq(ctx, PolyZ([1, 2, 3])) == PolyZ([2, 9])
+
+    def test_float_q_still_serves_the_numerics(self):
+        ctx = QContext(q=0.5, alpha=0.5)
+        assert eval_Eq(ctx, Fraction(1, 3)) == eval_Eq(QContext.from_q(Fraction(1, 2), Fraction(1, 2)), Fraction(1, 3))
+
+
+def test_factorial_row_is_the_product_of_q_integers():
+    for ctx in (ctx_q("1/2"), ctx_q("3/7"), QContext.from_fourth_root(Fraction(2, 3), 0).reciprocal_base()):
+        row = q_factorials(ctx, 30)
+        assert row[:31] == list(accumulate((q_int(ctx, n) for n in range(1, 31)), operator.mul, initial=Fraction(1)))
+        assert all(type(value) is Fraction for value in row)

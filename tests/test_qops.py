@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbernoulli import (
     ExactModeError,
@@ -12,10 +13,11 @@ from qbernoulli import (
     dq,
     dq_inverse_base,
     q_int,
+    qops,
 )
-from qbernoulli.detrep import _moments, _numbers
+from qbernoulli.detrep import _moments, _numbers, bernoulli_poly_det
 from qbernoulli.qcore import _factorials, context_cache
-from qbernoulli.qops import _factors
+from qbernoulli.qops import _factors, _lower
 from qbernoulli.series import _exp_row
 
 
@@ -127,3 +129,84 @@ class TestAppellCheck:
         for kind in (0, 4):
             with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
                 appell_check(ctx_q("1/4"), kind, 2)
+
+
+def _perturbed(m, change):
+    """bernoulli_poly_det with P_m replaced by change(P_m); every other degree is read as it is."""
+    def poly(ctx, kind, n):
+        p = bernoulli_poly_det(ctx, kind, n)
+        return change(p) if n == m else p
+    return poly
+
+
+def _nudge(p, i=1):
+    """p with its z**i coefficient moved by 10**-40."""
+    coeffs = list(p.coeffs)
+    coeffs[i] += Fraction(1, 10**40)
+    return PolyZ(coeffs)
+
+
+def _drop_leading(p):
+    return PolyZ(p.coeffs[:-1])
+
+
+class TestAppellCheckCatchesWrongPolynomials:
+    # appell_check reads each degree through the module global qops.bernoulli_poly_det, so
+    # rebinding it swaps one polynomial; P_m takes part in the checks of degrees m and m + 1 only
+    CTX = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2))
+
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @pytest.mark.parametrize("m, i", [(1, 1), (4, 2), (6, 6)])
+    def test_nudged_coefficient_fails_two_degrees(self, monkeypatch, kind, m, i):
+        monkeypatch.setattr(qops, "bernoulli_poly_det", _perturbed(m, lambda p: _nudge(p, i)))
+        report = appell_check(self.CTX, kind, 8)
+        assert [entry["n"] for entry in report] == list(range(1, 9))
+        assert all(type(entry["pass"]) is bool for entry in report)
+        assert [entry["n"] for entry in report if not entry["pass"]] == [m, m + 1]
+
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 3, 8])
+    def test_dropped_leading_coefficient_fails_two_degrees(self, monkeypatch, kind, m):
+        monkeypatch.setattr(qops, "bernoulli_poly_det", _perturbed(m, _drop_leading))
+        report = appell_check(self.CTX, kind, 8)
+        assert [entry["n"] for entry in report if not entry["pass"]] == [n for n in (m, m + 1) if 1 <= n <= 8]
+
+    def test_constant_coefficient_takes_part_in_the_next_degree_only(self, monkeypatch):
+        monkeypatch.setattr(qops, "bernoulli_poly_det", _perturbed(3, lambda p: _nudge(p, 0)))
+        assert [entry["n"] for entry in appell_check(self.CTX, 2, 6) if not entry["pass"]] == [4]
+
+
+LADDER_CONTEXTS = [
+    QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2)),
+    QContext.from_fourth_root(Fraction(2, 3), Fraction(-1, 2)),
+    QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4)),
+    QContext.from_q(Fraction(1, 4), Fraction(0)),
+    QContext.from_fourth_root(Fraction(2, 3), Fraction(1)).reciprocal_base(),
+]
+
+
+@settings(max_examples=60, deadline=2000)
+@given(
+    st.sampled_from(LADDER_CONTEXTS),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 8),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 8), st.sampled_from(["nudge", "drop"]), st.integers(0, 8)),
+    ),
+)
+def test_verdicts_equal_the_polynomial_predicate(ctx, kind, n_max, perturbation):
+    # the reference builds both sides of op(P_n) = [n]_q P_(n-1) as polynomials
+    if perturbation is None:
+        poly = bernoulli_poly_det
+    else:
+        m, how, i = perturbation
+        poly = _perturbed(m, _drop_leading if how == "drop" else lambda p: _nudge(p, min(i, p.degree)))
+    polys = [poly(ctx, kind, n) for n in range(n_max + 1)]
+    q_ints = [q_int(ctx, n) for n in range(n_max + 1)]
+    expected = [_lower(ctx, kind, polys[n]) == q_ints[n] * polys[n - 1] for n in range(1, n_max + 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qops, "bernoulli_poly_det", poly)
+        report = appell_check(ctx, kind, n_max)
+    assert [entry["pass"] for entry in report] == expected
+    assert report == [{"kind": kind, "n": n, "pass": v} for n, v in zip(range(1, n_max + 1), expected)]
