@@ -26,21 +26,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .qcore import DomainError, QBernError, QContext, cached, check_degree, check_kind, q_factorial, rational
 from .detrep import bernoulli_poly_det
 from .qfun import (
     GUARD_BITS,
     QTrigKind,
-    _checked_precision,
     modified_bessel_certified,
     modified_bessel_derivative_certified,
+    numeric_frame,
     qtrig_certified,
     rounded_to_context,
     to_mpf,
+    working_precision,
 )
 
 _KIND1_CAP = "1.95"  # kind 1's term ratio tends to (z/2)^2, certified only below 0.97
@@ -101,7 +103,7 @@ def bracket_first_zero(evaluate, initial_step, precision):
     Kinds 2 and 3 are searched this way; kind 1 reads kind 2's zero (see
     :func:`smallest_zero`), so no march ever nears its |z| = 2 boundary.
     """
-    with mp.workprec(precision + GUARD_BITS):
+    with working_precision(precision + GUARD_BITS):
         step = mpf(initial_step)
         lo = mpf(0)
         x = step
@@ -134,7 +136,7 @@ def bisect_zero(evaluate, lo, hi, precision):
     that probe is already a better location than the target width asks
     for; it is returned with the current (certified) bracket.
     """
-    with mp.workprec(precision + GUARD_BITS):
+    with working_precision(precision + GUARD_BITS):
         lo = mpf(lo)
         hi = mpf(hi)
         # lo only grows, so this target also holds against the final hi
@@ -178,27 +180,28 @@ def smallest_zero(ctx: QContext, kind: int, precision: int | None = None) -> Zer
     kind 1's series still certifies.  The result carries a certified sign-change
     bracket and the residual at the reported location.
     """
-    ctx.require_numeric()
-    return _first_zero(ctx, check_kind(kind), _checked_precision(ctx, precision))
+    with numeric_frame(ctx, precision, check=partial(check_kind, kind)) as precision:
+        return _first_zero(ctx, kind, precision)
 
 
 @cached
 def _first_zero(ctx: QContext, kind: int, precision: int) -> ZeroResult:
+    """smallest_zero's search, run in its numeric frame."""
+
     def evaluate(x, wp):
         return modified_bessel_certified(ctx, kind, 2, x, precision=wp - GUARD_BITS)
 
-    with mp.workprec(precision + GUARD_BITS):
-        if kind == 1:
-            zero = _first_zero(ctx, 2, precision)
-            (lo, hi), location = zero.certified_interval, zero.location
-            if not hi < mpf(_KIND1_CAP):
-                raise DomainError("no zero found in search range (0, %s): kind 1 shares kind 2's zeros, "
-                                  "and kind 2's first is at %s" % (_KIND1_CAP, mpmath.nstr(location, 10)))
-        else:
-            lo, hi = bracket_first_zero(evaluate, (1 - to_mpf(ctx.q)) / 2, precision)
-            lo, hi, location = bisect_zero(evaluate, lo, hi, precision)
-        value, bound = evaluate(location, precision + GUARD_BITS)
-        return ZeroResult(location=location, certified_interval=(lo, hi), residual=abs(value) + bound)
+    if kind == 1:
+        zero = _first_zero(ctx, 2, precision)
+        (lo, hi), location = zero.certified_interval, zero.location
+        if not hi < mpf(_KIND1_CAP):
+            raise DomainError("no zero found in search range (0, %s): kind 1 shares kind 2's zeros, "
+                              "and kind 2's first is at %s" % (_KIND1_CAP, mpmath.nstr(location, 10)))
+    else:
+        lo, hi = bracket_first_zero(evaluate, (1 - to_mpf(ctx.q)) / 2, precision)
+        lo, hi, location = bisect_zero(evaluate, lo, hi, precision)
+    value, bound = evaluate(location, precision + GUARD_BITS)
+    return ZeroResult(location=location, certified_interval=(lo, hi), residual=abs(value) + bound)
 
 
 _NAMED = {
@@ -208,6 +211,11 @@ _NAMED = {
     "S_q": (3, Fraction(1, 2), QTrigKind.S_q, False),
     "C_q_scaled": (3, Fraction(-1, 2), QTrigKind.C_q, True),
 }
+
+
+def _check_named(which: str):
+    if which not in _NAMED:
+        raise ValueError("which must be one of %s" % sorted(_NAMED))
 
 
 def _zero_scale(q: mpf, kind: int) -> mpf:
@@ -226,15 +234,10 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
     The reported residual is the q-trig function's own value at the
     location, an independent check of the reduction.
     """
-    ctx.require_numeric()
-    try:
+    with numeric_frame(ctx, precision, check=partial(_check_named, which)) as precision:
         kind, alpha, trig, prescale = _NAMED[which]
-    except KeyError:
-        raise ValueError("which must be one of %s" % sorted(_NAMED)) from None
-    precision = _checked_precision(ctx, precision)
-    reduced = ctx.with_alpha(alpha)
-    bessel = smallest_zero(reduced, kind, precision)
-    with mp.workprec(precision + GUARD_BITS):
+        reduced = ctx.with_alpha(alpha)
+        bessel = smallest_zero(reduced, kind, precision)
         q = to_mpf(ctx.q)
         scale = _zero_scale(q, kind)
         location = bessel.location * scale
@@ -246,11 +249,11 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
 
 def bessel_derivative_at(ctx: QContext, kind: int, x) -> mpf:
     """d/dz of the modified q-Bessel function (base q**2) at x > 0."""
-    ctx.require_numeric()
-    if not to_mpf(x) > 0:
-        raise ValueError("x must be positive")
-    value, _ = modified_bessel_derivative_certified(ctx, kind, x)
-    return rounded_to_context(ctx, value)
+    with numeric_frame(ctx):
+        if not to_mpf(x) > 0:
+            raise ValueError("x must be positive")
+        value, _ = modified_bessel_derivative_certified(ctx, kind, x)
+        return rounded_to_context(ctx, value)
 
 
 _TRIG_PAIR = {2: (QTrigKind.Cos_q, QTrigKind.Sin_q), 3: (QTrigKind.C_q, QTrigKind.S_q)}
@@ -274,19 +277,19 @@ class _Frame:
 
 @cached
 def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
+    """leading_term's per-(q, alpha, kind) data, built in its numeric frame."""
     zero = smallest_zero(ctx, kind, precision)
     cos_kind, sin_kind = _TRIG_PAIR[kind]
-    with mp.workprec(precision + GUARD_BITS):
-        scale = _zero_scale(to_mpf(ctx.q), kind)
-        prefactor = 4 * scale  # exact: a power of two
-        constant = zero.location * scale
-        lo, hi = zero.certified_interval
-        constant_width = (hi - lo) * scale
-        derivative, _ = modified_bessel_derivative_certified(
-            ctx, kind, zero.location, precision=precision
-        )
-        cos_at_c, cos_bound = qtrig_certified(ctx, cos_kind, constant, precision=precision)
-        sin_at_c, sin_bound = qtrig_certified(ctx, sin_kind, constant, precision=precision)
+    scale = _zero_scale(to_mpf(ctx.q), kind)
+    prefactor = 4 * scale  # exact: a power of two
+    constant = zero.location * scale
+    lo, hi = zero.certified_interval
+    constant_width = (hi - lo) * scale
+    derivative, _ = modified_bessel_derivative_certified(
+        ctx, kind, zero.location, precision=precision
+    )
+    cos_at_c, cos_bound = qtrig_certified(ctx, cos_kind, constant, precision=precision)
+    sin_at_c, sin_bound = qtrig_certified(ctx, sin_kind, constant, precision=precision)
     return _Frame(
         constant, constant_width, prefactor, derivative, cos_at_c, cos_bound, sin_at_c, sin_bound
     )
@@ -294,12 +297,12 @@ def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
 
 @cached
 def _trig_at_2cz(ctx: QContext, kind: int, precision: int, z: mpf) -> tuple:
-    """The kind's certified (value, bound) trig pair at 2cz, which no degree changes."""
+    """The kind's certified (value, bound) trig pair at 2cz, which no degree changes; run in
+    leading_term's numeric frame."""
     constant = _frame(ctx, kind, precision).constant
-    with mp.workprec(precision + GUARD_BITS):
-        return tuple(
-            qtrig_certified(ctx, trig, 2 * constant * z, precision=precision) for trig in _TRIG_PAIR[kind]
-        )
+    return tuple(
+        qtrig_certified(ctx, trig, 2 * constant * z, precision=precision) for trig in _TRIG_PAIR[kind]
+    )
 
 
 def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
@@ -312,10 +315,8 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
     check_kind(kind, (2, 3))
     if check_degree(n) < 1:
         raise ValueError("n must be >= 1, got 0")
-    ctx.require_numeric()
-    precision = ctx.float_precision_bits
-    frame = _frame(ctx, kind, precision)
-    with mp.workprec(precision + GUARD_BITS):
+    with numeric_frame(ctx) as precision:
+        frame = _frame(ctx, kind, precision)
         z = to_mpf(z)  # junk raises here, before z becomes a memo key
         (cos_at_2cz, cos2_bound), (sin_at_2cz, sin2_bound) = _trig_at_2cz(ctx, kind, precision, z)
         if n % 2 == 0:
@@ -375,7 +376,7 @@ def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:
     for n in n_list:
         exact = bernoulli_poly_det(ctx, kind, n)(z)
         term = leading_term(ctx, kind, n, z)
-        with mp.workprec(ctx.float_precision_bits + GUARD_BITS):
+        with numeric_frame(ctx):
             float_value = to_mpf(exact)
             noisy = abs(term.components["trig_combination"]) <= term.components["trig_combination_noise"]
             flag, ratio = ("indeterminate", None) if noisy else (None, abs(float_value / term.value - 1))

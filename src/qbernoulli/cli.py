@@ -261,10 +261,8 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
 @click.option("--at", "at_point", default=None, help="also reconstruct at this rational point")
 def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_point):
     """Expansion coefficients L_0..L_N of a coefficient stream."""
-    import mpmath
-
     from . import expand as expand_mod
-    from .qfun import to_mpf
+    from .qfun import numeric_frame, to_mpf, working_precision
 
     ctx = _context(q_quarter, q_value, alpha, precision)
     try:
@@ -274,8 +272,8 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
         payload = {"l_coefficients": [str(v) for v in ls]}
         if stream.tail_kind == "geometric":
             bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
-            with mpmath.mp.workprec(precision):
-                payload["truncation_bound"] = _fmt_float(to_mpf(bound), precision)
+            with numeric_frame(ctx) as bits, working_precision(bits):
+                payload["truncation_bound"] = _fmt_float(to_mpf(bound), bits)
         if at_point is not None:
             z = _parse_rational(at_point, "--at")
             poly = expand_mod._read_off(ctx, ls)

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .qcore import QBernError, QContext, check_degree, dot, q_pochhammer, rational
 from .detrep import _moments, _numbers
-from .qfun import _workprec, to_mpf
+from .qfun import numeric_frame, to_mpf
 from .series import PolyZ, _exp_row
 
 
@@ -121,8 +121,7 @@ def scaled_coefficient(ctx: QContext, stream: CoefficientStream, k: int) -> Frac
 def tau_estimate(ctx: QContext, stream: CoefficientStream, window) -> mpf:
     """max over the window of |g_n|**(1/n): a diagnostic stand-in for the
     growth type tau, not a certified limit."""
-    ctx.require_numeric()
-    with mp.workprec(_workprec(ctx)):
+    with numeric_frame(ctx):
         best = mpf(0)
         for n in window:
             if not 1 <= check_degree(n, "a window entry") <= stream.last_index:
@@ -153,11 +152,10 @@ def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> Growt
     type gamma bound tau by q^(1/2-gamma) / (1-q).  Both are advisory
     diagnostics, never gates.
     """
-    ctx.require_numeric()
-    k, gamma = rational(k, "k"), rational(gamma, "gamma")
-    if k <= 0:
-        raise ValueError("order k must be positive")
-    with mp.workprec(_workprec(ctx)):
+    with numeric_frame(ctx):
+        k, gamma = rational(k, "k"), rational(gamma, "gamma")
+        if k <= 0:
+            raise ValueError("order k must be positive")
         q = to_mpf(ctx.q)
         best = mpf(0)
         for n, f in enumerate(stream.coefficients):
@@ -280,13 +278,13 @@ def _read_off(ctx: QContext, ls: list) -> PolyZ:
 
 def reconstruct(ctx: QContext, stream: CoefficientStream, z, N: int) -> mpf:
     """Partial expansion at real z: reconstruct_poly, rounded once in working precision."""
-    ctx.require_numeric()
-    return _round_at(ctx, reconstruct_poly(ctx, stream, N), z)
+    with numeric_frame(ctx):
+        return _round_at(ctx, reconstruct_poly(ctx, stream, N), z)
 
 
 def _round_at(ctx: QContext, poly: PolyZ, z) -> mpf:
     """poly at real z, evaluated and rounded once in the working precision of ctx."""
-    with mp.workprec(_workprec(ctx)):
+    with numeric_frame(ctx):
         return +poly(to_mpf(z))
 
 

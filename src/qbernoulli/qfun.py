@@ -14,13 +14,23 @@ Sign decisions near zeros therefore never rest on a bare float comparison;
 the ``*_certified`` functions expose the (value, bound) pairs the
 root-bracketing machinery consumes.  Every such series goes through one
 envelope, :func:`_certified_series`, and keeps only its term rule.
+
+Precision is decided here for the whole package.  mpmath's precision is
+process-wide, and the package changes it only in :func:`working_precision`,
+under one lock; every numeric entry point, here and in
+:mod:`qbernoulli.asympt` and :mod:`qbernoulli.expand`, runs in a
+:func:`numeric_frame` built on it.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from math import factorial, prod
 
 import mpmath
 from mpmath import mp, mpf
@@ -29,6 +39,48 @@ from .qcore import DomainError, QBernError, QContext, check_degree, check_kind, 
 
 GUARD_BITS = 40
 MAX_SERIES_TERMS = 200_000
+# the largest precision, in bits, a caller may ask of a numeric entry point: a first
+# Bessel zero there takes seconds, and the time roughly quintuples per doubling
+MAX_PRECISION_BITS = 1 << 14
+
+_precision_lock = threading.RLock()
+
+
+@contextmanager
+def working_precision(bits: int):
+    """Run the block at mpmath's precision of bits: the package's one change of mpmath's
+    process-wide precision.
+
+    A lock is taken before the precision is set and released after it is restored, so
+    the package's own calls on different threads never compute at each other's
+    precision.  It cannot order a caller that sets ``mp.prec`` itself on another thread.
+    """
+    with _precision_lock, mp.workprec(bits):
+        yield
+
+
+@contextmanager
+def numeric_frame(ctx: QContext, precision=None, check=None, *, capped=True):
+    """The frame of one numeric call: run the block at the caller's precision plus
+    GUARD_BITS, handing it that precision.
+
+    In order: ``ctx.require_numeric()``; ``check()``, when given; then the precision is
+    resolved.  None stands for the context's; anything but an int >= 1 (a bool too)
+    raises ValueError, and, while capped, one past MAX_PRECISION_BITS raises DomainError.
+    A series' explicit precision is not capped: the zero finder's escalation asks for up
+    to 4p + 40 bits at a capped precision p.
+    """
+    ctx.require_numeric()
+    if check is not None:
+        check()
+    if precision is None:
+        precision = ctx.float_precision_bits
+    elif type(precision) is not int or precision < 1:
+        raise ValueError("precision must be an integer number of bits >= 1, got %r" % (precision,))
+    if capped and precision > MAX_PRECISION_BITS:
+        raise DomainError("a precision of %d bits is past the cap of %d bits" % (precision, MAX_PRECISION_BITS))
+    with working_precision(precision + GUARD_BITS):
+        yield precision
 
 
 def to_mpf(x):
@@ -52,7 +104,7 @@ def certified_sum(first_term, step, workprec):
     n.  Returns ``(value, bound)`` with bound covering both the dropped
     tail and the accumulated rounding error at ``workprec`` bits.
     """
-    with mp.workprec(workprec):
+    with working_precision(workprec):
         tol = mpf(2) ** (-workprec + 10)
         total = mpf(first_term)
         abs_total = abs(total)
@@ -72,37 +124,20 @@ def certified_sum(first_term, step, workprec):
                 raise QBernError("series failed to certify within %d terms" % MAX_SERIES_TERMS)
 
 
-def _checked_precision(ctx: QContext, precision=None) -> int:
-    """precision, or the context's for None; anything but an int >= 1 (a bool too) raises ValueError."""
-    if precision is None:
-        return ctx.float_precision_bits
-    if type(precision) is not int or precision < 1:
-        raise ValueError("precision must be an integer number of bits >= 1, got %r" % (precision,))
-    return precision
-
-
-def _workprec(ctx: QContext, precision=None):
-    return _checked_precision(ctx, precision) + GUARD_BITS
-
-
 def _certified_series(ctx: QContext, precision, terms, *points, check=None):
     """(value, bound) of the series that terms(q, *points) gives as (first_term, step), summed by
-    certified_sum at the working precision with q and the points in mpf; a step of None makes
-    first_term the exact value, with bound 0.  check, when given, runs between the context's
-    check and the precision's.  certified_sum is read from the module on every call, so a
-    wrapper bound there sees every series."""
-    ctx.require_numeric()
-    if check is not None:
-        check()
-    wp = _workprec(ctx, precision)
-    with mp.workprec(wp):
+    certified_sum in the numeric frame with q and the points in mpf; a step of None makes
+    first_term the exact value, with bound 0.  check is the frame's.  Only the context's
+    precision is capped.  certified_sum is read from the module on every call, so a wrapper
+    bound there sees every series."""
+    with numeric_frame(ctx, precision, check=check, capped=precision is None) as precision:
         first, step = terms(to_mpf(ctx.q), *map(to_mpf, points))
-        return (first, mpf(0)) if step is None else certified_sum(first, step, wp)
+        return (first, mpf(0)) if step is None else certified_sum(first, step, precision + GUARD_BITS)
 
 
 def rounded_to_context(ctx: QContext, value) -> mpf:
     """Round a working-precision value to the context's stated precision."""
-    with mp.workprec(ctx.float_precision_bits):
+    with working_precision(ctx.float_precision_bits):
         return +value
 
 
@@ -276,7 +311,7 @@ def modified_bessel_derivative_certified(ctx: QContext, kind: int, z, precision=
 
 def qpochhammer_infinite(a, q, workprec) -> mpf:
     """(a; q)_infinity with a geometric tail bound below working precision."""
-    with mp.workprec(workprec):
+    with working_precision(workprec):
         a = to_mpf(a)
         q = to_mpf(q)
         out = mpf(1)
@@ -293,9 +328,8 @@ def eval_modified_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf
 
 def eval_bessel(ctx: QContext, kind: int, base_exponent: int, z) -> mpf:
     """Jackson q-Bessel with its prefactor and power-of-z factor (z > 0)."""
-    ctx.require_numeric()
-    wp = _workprec(ctx)
-    with mp.workprec(wp):
+    with numeric_frame(ctx) as precision:
+        wp = precision + GUARD_BITS
         z = to_mpf(z)
         if z <= 0:
             raise DomainError("the unmodified q-Bessel evaluation needs z > 0")
@@ -363,13 +397,13 @@ def phi32(ctx: QContext, a1, a2, a3, b1, b2, arg, terms: int | None = None) -> F
 # reciprocal of exp_q by composition sums
 
 
-def _compositions(n: int):
-    """All ordered tuples of positive integers summing to n."""
+def _partitions(n: int, largest: int):
+    """All nonincreasing tuples of positive integers at most largest summing to n."""
     if n == 0:
         yield ()
         return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
@@ -377,9 +411,12 @@ def recip_expq_coeffs(ctx: QContext, N: int) -> list[Fraction]:
     """Coefficients c_0..c_N of 1/exp_q(z) by explicit composition sums.
 
     Each composition (s_1..s_k) of n contributes
-    (-1)^k q^(sum s_i(s_i-1)/4) / prod [s_i]_q!.  Enumeration is 2**(n-1)
-    compositions per n, fine for n up to ~20; the series-division route
-    (:func:`qbernoulli.series.expq_reciprocal_series`) scales past that.
+    (-1)^k q^(sum s_i(s_i-1)/4) / prod [s_i]_q!.  The contribution depends
+    only on the parts, so the compositions are summed a partition at a time:
+    a partition with k parts, m_s of them equal to s, stands for its
+    k! / prod m_s! orderings.  That is p(n) terms per n rather than 2**(n-1);
+    the series-division route (:func:`qbernoulli.series.expq_reciprocal_series`)
+    is the independent check.
     """
     part_weight = [
         ctx.q_pow_quarters(s * (s - 1)) / q_factorial(ctx, s) for s in range(check_degree(N, "N") + 1)
@@ -387,10 +424,8 @@ def recip_expq_coeffs(ctx: QContext, N: int) -> list[Fraction]:
     out = [Fraction(1)]
     for n in range(1, N + 1):
         total = Fraction(0)
-        for comp in _compositions(n):
-            prod = Fraction(1)
-            for s in comp:
-                prod *= part_weight[s]
-            total += Fraction(-1) ** len(comp) * prod
+        for parts in _partitions(n, n):
+            orderings = factorial(len(parts)) // prod(map(factorial, Counter(parts).values()))
+            total += (-1) ** len(parts) * orderings * prod(part_weight[s] for s in parts)
         out.append(total)
     return out

@@ -16,7 +16,7 @@ from qbernoulli import (
     ratio_diagnostic,
     smallest_zero,
 )
-from qbernoulli import asympt, qcore
+from qbernoulli import asympt, qcore, qfun
 from qbernoulli.asympt import _frame, bisect_zero
 from qbernoulli.qfun import modified_bessel_certified, qtrig_certified, to_mpf
 
@@ -73,6 +73,27 @@ class TestSmallestZero:
         fine = smallest_zero(ctx_q("1/2", bits=160), 2, precision=160)
         with mp.workprec(220):
             assert abs(coarse.location - fine.location) < mpf(2) ** -60
+
+    def test_a_1024_bit_location_keeps_its_digits_at_the_callers_53_bits(self):
+        assert mp.prec == 53
+        location = smallest_zero(ctx_q("1/2"), 2, 1024).location
+        finer = smallest_zero(ctx_q("1/2"), 2, 1100).location
+        with mp.workprec(2048):
+            assert abs(location - finer) < mpf(2) ** -1000
+
+    def test_the_cap_refuses_a_callers_precision_but_not_the_escalation(self, monkeypatch):
+        monkeypatch.setattr(qfun, "MAX_PRECISION_BITS", 64)
+        ctx = ctx_q("1/2", bits=64)
+        message = "a precision of 65 bits is past the cap of 64 bits"
+        with pytest.raises(DomainError, match=message):
+            smallest_zero(ctx, 2, 65)
+        with pytest.raises(DomainError, match=message):
+            smallest_zero(ctx_q("1/2", bits=65), 3)
+        with pytest.raises(DomainError, match=message):
+            named_trig_zero(ctx, "Sin_q", 65)
+        assert smallest_zero(ctx, 2, 64).residual < mpf(2) ** -(64 - 16)
+        value, bound = modified_bessel_certified(ctx, 2, 2, Fraction(1, 3), precision=4 * 64 + 40)
+        assert 0 < bound < mpf(2) ** -(4 * 64) and abs(value) > bound
 
 
 class TestKindOne:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qbernoulli import PolyZ, QContext, bernoulli_poly_det
+from qbernoulli import CoefficientStream, PolyZ, QContext, bernoulli_poly_det, qfun
 from qbernoulli.cli import _fmt_float, main
 
 DATA = Path(__file__).parent / "data"
@@ -194,6 +194,21 @@ class TestZeros:
             mantissa = residual.split("@")[0]
             assert "e-" in mantissa  # residuals are tiny
 
+
+    def test_a_precision_past_the_cap_exits_3_naming_it(self, tmp_path):
+        bits = qfun.MAX_PRECISION_BITS + 1
+        message = "error: a precision of %d bits is past the cap of %d bits\n" % (bits, qfun.MAX_PRECISION_BITS)
+        result = run("zeros", "--kind", "2", "--q-quarter", "1/2", "--precision", str(bits))
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", message)
+        # a geometric stream's truncation bound is a float, so expand refuses it too
+        stream = tmp_path / "geometric.json"
+        stream.write_text(CoefficientStream(("1", "-1/4"), "geometric", Fraction(1, 8)).to_json())
+        expand = ("expand", "--q-quarter", "1/2", "--input", str(stream), "--terms", "1", "--precision")
+        result = run(*expand, str(bits))
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", message)
+        assert run(*expand, str(bits - 1)).exit_code == 0
+        # the cap is the numerics': an exact table at that precision is served
+        assert run("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3", "--precision", str(bits)).exit_code == 0
 
     @pytest.mark.parametrize("precision", [128, 512])
     @pytest.mark.parametrize("kind", [2, 3])

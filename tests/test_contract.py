@@ -9,18 +9,20 @@ spins fails the test instead of hanging it.  The call table is the one
 ``tools/replay.py`` replays.
 """
 
+import dataclasses
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath import mp
 
 import qbernoulli
 from qbernoulli import (
     CoefficientStream, DomainError, PolyZ, QBernError, QContext, TruncatedSeries, bernoulli_number,
     bessel_derivative_at, corollary_wrappers, eval_qtrig, growth_classify, leading_term, phi21, phi32,
-    q_factorial, q_int, ratio_diagnostic,
+    q_factorial, q_int, qfun, ratio_diagnostic,
 )
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
@@ -81,6 +83,41 @@ def test_junk_numbers_raise_only_library_errors(junk_call):
 @given(junk_calls(wrong_objects=True))
 def test_wrong_objects_raise_python_type_errors(junk_call):
     call(*junk_call, CONTRACT + (TypeError, AttributeError))
+
+
+# the exports that compute in mpmath, and so take a precision from the context or the caller
+NUMERIC = ("bessel_derivative_at", "eval_Eq", "eval_bessel", "eval_eq", "eval_expq", "eval_modified_bessel",
+           "eval_qtrig", "growth_classify", "leading_term", "named_trig_zero", "ratio_diagnostic",
+           "reconstruct", "smallest_zero", "tau_estimate")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(qfun.MAX_PRECISION_BITS + 1, 10**9), st.sampled_from(NUMERIC), st.data())
+def test_precisions_past_the_cap_are_refused_at_once(bits, name, data):
+    """A context's precision past the cap, or an explicit one, raises DomainError naming both
+    before any series is summed; exact work on that context is served as before."""
+    ctx = POOLS["ctx"][0]
+    past = dataclasses.replace(ctx, float_precision_bits=bits)
+    args = [past]
+    for pool in replay.SIGNATURES[name][1:]:
+        args.append(data.draw(st.sampled_from(POOLS[pool] if isinstance(pool, str) else pool)))
+    if name in ("smallest_zero", "named_trig_zero"):
+        args[-1] = data.draw(st.sampled_from([None, bits]))
+    message = "a precision of %d bits is past the cap of %d bits" % (bits, qfun.MAX_PRECISION_BITS)
+    with pytest.raises(DomainError, match=message):
+        replay.call_with_limit(getattr(qbernoulli, name), args, LIMIT)
+    if name in ("smallest_zero", "named_trig_zero"):
+        args[0], args[-1] = ctx, bits
+        with pytest.raises(DomainError, match=message):
+            replay.call_with_limit(getattr(qbernoulli, name), args, LIMIT)
+    assert bernoulli_number(past, 2, 4) == bernoulli_number(ctx, 2, 4)
+
+
+def test_replay_marks_and_resets_a_precision_left_behind():
+    assert replay.drift() == ""
+    mp.prec = 61
+    assert replay.drift() == " [mp.prec=61]"
+    assert mp.prec == 53
 
 
 def test_a_short_replay_repeats_itself():

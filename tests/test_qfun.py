@@ -1,10 +1,16 @@
+import ast
+import inspect
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from qbernoulli import (
+    CoefficientStream,
     DomainError,
     QBernError,
     QContext,
@@ -15,9 +21,16 @@ from qbernoulli import (
     eval_expq,
     eval_modified_bessel,
     eval_qtrig,
+    growth_classify,
+    leading_term,
+    named_trig_zero,
     phi21,
     phi32,
+    ratio_diagnostic,
     recip_expq_coeffs,
+    reconstruct,
+    smallest_zero,
+    tau_estimate,
 )
 from qbernoulli import qfun
 from qbernoulli.asympt import bessel_derivative_at
@@ -307,3 +320,92 @@ class TestRecipExpqCoeffs:
         by_compositions = recip_expq_coeffs(ctx, 15)
         by_division = expq_reciprocal_series(ctx, 15)
         assert tuple(by_compositions) == by_division.coeffs
+
+
+class TestPrecisionFrame:
+    """mpmath's precision is process-wide; the package changes it in one place, under a lock."""
+
+    def test_two_threads_at_two_precisions_get_their_single_thread_results(self):
+        high = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 2000)
+        low = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 24)
+        points = [Fraction(k, 7) for k in range(1, 31)]
+        expected = [eval_Eq(high, z)._mpf_ for z in points]
+        low_expected = eval_Eq(low, Fraction(1, 3))._mpf_
+        start = mp.prec
+        results, low_results, done = [], [], threading.Event()
+
+        def high_calls():
+            try:
+                results.extend(eval_Eq(high, z)._mpf_ for z in points)
+            finally:
+                done.set()
+
+        def low_calls():
+            while not done.is_set():
+                low_results.append(eval_Eq(low, Fraction(1, 3))._mpf_)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=target) for target in (high_calls, low_calls)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert low_results and set(low_results) == {low_expected}
+        assert mp.prec == start
+
+    def test_mp_workprec_occurs_only_in_the_primitive(self):
+        package = Path(qfun.__file__).parent
+        found = {}
+        for path in package.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            uses = sum(isinstance(node, ast.Attribute) and node.attr == "workprec" for node in ast.walk(tree))
+            if uses:
+                found[path.name] = uses
+        assert found == {"qfun.py": 1}
+        assert "mp.workprec(bits)" in inspect.getsource(qfun.working_precision.__wrapped__)
+
+    CTX = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 64)
+    NON_NUMERIC = QContext(q=Fraction(2), alpha=Fraction(1, 2), float_precision_bits=64)
+    STREAM = CoefficientStream.finite(["1", "1/2", "-1/3"])
+    CALLS = {
+        "eval_eq": (eval_eq, Fraction(1, 3)),
+        "eval_Eq": (eval_Eq, Fraction(1, 3)),
+        "eval_expq": (eval_expq, Fraction(1, 3)),
+        "eval_qtrig": (eval_qtrig, QTrigKind.Sin_q, Fraction(1, 3)),
+        "eval_modified_bessel": (eval_modified_bessel, 2, 2, Fraction(1, 3)),
+        "eval_bessel": (eval_bessel, 2, 1, Fraction(1, 3)),
+        "smallest_zero": (smallest_zero, 3, 96),
+        "named_trig_zero": (named_trig_zero, "S_q", 96),
+        "bessel_derivative_at": (bessel_derivative_at, 2, Fraction(1, 3)),
+        "leading_term": (leading_term, 3, 4, Fraction(1, 4)),
+        "ratio_diagnostic": (ratio_diagnostic, 2, Fraction(1, 4), [1, 2]),
+        "tau_estimate": (tau_estimate, STREAM, range(1, 3)),
+        "growth_classify": (growth_classify, STREAM, 1, Fraction(1, 2)),
+        "reconstruct": (reconstruct, STREAM, Fraction(1, 3), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_each_numeric_export_leaves_mp_prec_as_it_found_it(self, name):
+        function, *args = self.CALLS[name]
+        start = mp.prec
+        function(self.CTX, *args)
+        assert mp.prec == start
+        with pytest.raises(DomainError, match="numeric evaluation requires 0 < q < 1"):
+            function(self.NON_NUMERIC, *args)
+        assert mp.prec == start
+
+    def test_raising_inside_the_frame_restores_mp_prec(self):
+        start = mp.prec
+        with pytest.raises(DomainError, match="defined only for"):
+            eval_eq(self.CTX, 100)
+        assert mp.prec == start
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="order k must be positive"):
+                growth_classify(self.CTX, self.STREAM, k, 0)
+            assert mp.prec == start

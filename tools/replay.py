@@ -12,7 +12,11 @@ True or "x") in one numeric argument, that is a kind, a degree, a point or
 a precision.  Each line holds the call and its outcome: the result in
 canonical form (an mpf as its ``_mpf_`` tuple, a Fraction as "p/r"), the
 exception's type and message, or "timeout" for a call still running after
-LIMIT seconds; a CLI call gives its exit code, stdout and stderr.
+LIMIT seconds; a CLI call gives its exit code, stdout and stderr.  A call
+that leaves mpmath's process-wide precision other than 53 bits gets
+" [mp.prec=N]" appended, and the precision is set back to 53 before the next
+call.  A call that leaves it at 53 adds nothing, so ``--against`` still
+compares with revisions whose replay has no such check.
 
 ``--against REV`` runs the same call list twice, in fresh interpreters: on
 this checkout's ``src/`` and on REV's, checked out in a temporary
@@ -181,6 +185,15 @@ def outcome(fn, args, limit: float) -> str:
         return "! %s: %s" % (type(exc).__name__, exc)
 
 
+def drift() -> str:
+    """" [mp.prec=N]" when the last call left mpmath's precision at N bits rather than 53, else
+    ""; the precision is 53 again afterwards."""
+    from mpmath import mp
+
+    prec, mp.prec = mp.prec, 53
+    return "" if prec == 53 else " [mp.prec=%d]" % prec
+
+
 def cli_argv(rng: random.Random, stream_path: str) -> list:
     """One qbern command line; in about one call of four, one option value is junk."""
     context = rng.choice([["--q-quarter", "1/2", "--alpha", "1/2"], ["--q-quarter", "2/3", "--alpha", "-1/2"],
@@ -213,7 +226,8 @@ def replay(seed: int, count: int = COUNT, limit: float = LIMIT):
         name = rng.choice(sorted(SIGNATURES))
         args, labels = draw_call(rng, name, pools)
         fn = getattr(qb, name, None)
-        yield "%d %s(%s) %s" % (i, name, ", ".join(labels), "! missing" if fn is None else outcome(fn, args, limit))
+        result = "! missing" if fn is None else outcome(fn, args, limit) + drift()
+        yield "%d %s(%s) %s" % (i, name, ", ".join(labels), result)
     with tempfile.TemporaryDirectory() as tmp:
         stream = os.path.join(tmp, "stream.json")
         with open(stream, "w", encoding="utf-8") as handle:
@@ -226,7 +240,7 @@ def replay(seed: int, count: int = COUNT, limit: float = LIMIT):
 
         for i in range(count, count + count // 4):
             argv = cli_argv(rng, stream)
-            line = "%d $ qbern %s %s" % (i, " ".join(argv), outcome(invoke, (argv,), limit))
+            line = "%d $ qbern %s %s" % (i, " ".join(argv), outcome(invoke, (argv,), limit) + drift())
             yield line.replace(tmp, "<dir>")
 
 
