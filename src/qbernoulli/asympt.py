@@ -296,13 +296,24 @@ def _frame(ctx: QContext, kind: int, precision: int) -> _Frame:
 
 
 @cached
+def _trig_slot(ctx: QContext, kind: int, precision: int) -> dict:
+    """{z: _trig_at_2cz's pair} for the last z alone, so a sweep over z keeps one entry."""
+    return {}
+
+
 def _trig_at_2cz(ctx: QContext, kind: int, precision: int, z: mpf) -> tuple:
     """The kind's certified (value, bound) trig pair at 2cz, which no degree changes; run in
     leading_term's numeric frame."""
-    constant = _frame(ctx, kind, precision).constant
-    return tuple(
-        qtrig_certified(ctx, trig, 2 * constant * z, precision=precision) for trig in _TRIG_PAIR[kind]
-    )
+    slot = _trig_slot(ctx, kind, precision)
+    pair = slot.get(z)
+    if pair is None:
+        constant = _frame(ctx, kind, precision).constant
+        pair = tuple(
+            qtrig_certified(ctx, trig, 2 * constant * z, precision=precision) for trig in _TRIG_PAIR[kind]
+        )
+        slot.clear()
+        slot[z] = pair
+    return pair
 
 
 def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:

@@ -60,20 +60,27 @@ def _fmt_float(x, precision: int) -> str:
     return "%s@%db" % (mpmath.nstr(x, digits), precision)
 
 
-def _emit_json(record: dict):
-    click.echo(json.dumps(record, indent=2))
+def _cell(value):
+    """A CSV cell: an absent field is empty and a boolean is lower case."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
-def _emit_csv(header, rows):
+def _emit(command: str, params: dict, fmt: str, payload, header, rows=None):
+    """Every subcommand's one output: the JSON record of its payload, or the CSV
+    table with header, whose rows default to the payload's fields in header order."""
+    if fmt == "json":
+        record = {"command": command, "parameters": params, "format": fmt, "payload": payload}
+        click.echo(json.dumps(record, indent=2))
+        return
+    if rows is None:
+        rows = [[_cell(row.get(field)) for field in header] for row in payload]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     click.echo(buffer.getvalue(), nl=False)
-
-
-def _record(command: str, parameters: dict, payload, fmt: str) -> dict:
-    return {"command": command, "parameters": parameters, "format": fmt, "payload": payload}
 
 
 def _echo_params(ctx: QContext, **extra) -> dict:
@@ -143,19 +150,14 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     ctx = _context(q_quarter, q_value, alpha, precision)
     rows = _table(n_max, via, lambda n: bernoulli_poly_det(ctx, kind, n).to_strings(),
                   lambda n: oracle_bernoulli(ctx, kind, n).to_strings())
-    params = _echo_params(ctx, kind=kind, n=n_max, via=via)
-    if fmt == "json":
-        _emit_json(_record("poly", params, rows, fmt))
-        return
     header = ["n", "source"] + ["z^%d" % j for j in range(n_max + 1)] + ["match"]
-    flat = []
-    for row in rows:
-        for source in ("det", "oracle"):
-            if source not in row:
-                continue
-            coeffs = row[source] + ["0"] * (n_max + 1 - len(row[source]))
-            flat.append([row["n"], source] + coeffs + [str(row.get("match", "")).lower()])
-    _emit_csv(header, flat)
+    flat = (  # read only for CSV: one row per route and degree, zero-padded to z^N
+        [row["n"], source, *row[source]] + ["0"] * (n_max + 1 - len(row[source])) + [_cell(row.get("match"))]
+        for row in rows
+        for source in ("det", "oracle")
+        if source in row
+    )
+    _emit("poly", _echo_params(ctx, kind=kind, n=n_max, via=via), fmt, rows, header, flat)
 
 
 @main.command("numbers")
@@ -170,18 +172,7 @@ def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     rows = _table(n_max, via, lambda n: str(bernoulli_number(ctx, kind, n)),
                   lambda n: str(oracle_bernoulli(ctx, kind, n).coefficient(0)))
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
-    if fmt == "json":
-        _emit_json(_record("numbers", params, rows, fmt))
-        return
-    header = ["n", "det", "oracle", "match"]
-    flat = [
-        [r["n"], r.get("det", ""), r.get("oracle", ""), str(r.get("match", "")).lower()]
-        for r in rows
-    ]
-    _emit_csv(header, flat)
-
-
-_ZERO_NAMES = {2: ("Sin_q", "Cos_q"), 3: ("S_q", "C_q_scaled")}
+    _emit("numbers", params, fmt, rows, ["n", "det", "oracle", "match"])
 
 
 @main.command("zeros")
@@ -194,24 +185,17 @@ def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
 
     ctx = _context(q_quarter, q_value, alpha, precision)
     entries = [("bessel_first_zero", asympt_mod.smallest_zero(ctx, kind))]
-    for name in _ZERO_NAMES[kind]:
-        entries.append((name, asympt_mod.named_trig_zero(ctx, name)))
+    for name, (bessel_kind, *_) in asympt_mod._NAMED.items():
+        if bessel_kind == kind:
+            entries.append((name, asympt_mod.named_trig_zero(ctx, name)))
+    header = ["name", "location", "interval_lo", "interval_hi", "residual"]
     rows = [
-        {
-            "name": name,
-            "location": _fmt_float(res.location, precision),
-            "interval_lo": _fmt_float(res.certified_interval[0], precision),
-            "interval_hi": _fmt_float(res.certified_interval[1], precision),
-            "residual": _fmt_float(res.residual, precision),
-        }
+        dict(zip(header, [name] + [
+            _fmt_float(x, precision) for x in (res.location, *res.certified_interval, res.residual)
+        ]))
         for name, res in entries
     ]
-    params = _echo_params(ctx, kind=kind)
-    if fmt == "json":
-        _emit_json(_record("zeros", params, rows, fmt))
-        return
-    header = ["name", "location", "interval_lo", "interval_hi", "residual"]
-    _emit_csv(header, [[r[h] for h in header] for r in rows])
+    _emit("zeros", _echo_params(ctx, kind=kind), fmt, rows, header)
 
 
 @main.command("asympt")
@@ -233,25 +217,18 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
         if earlier.abs_ratio_minus_1 is not None and later.abs_ratio_minus_1 is not None
     )
     click.echo("decreasing_trend=%s" % str(decreasing).lower(), err=True)
-    table = [
-        [
+    header = ["n", "exact_value", "float_value", "leading_term", "abs_ratio_minus_1"]
+    payload = [
+        dict(zip(header, [
             row.n,
             str(row.exact_value),
             _fmt_float(row.float_value, precision),
             _fmt_float(row.leading, precision),
             "indeterminate" if row.flag else _fmt_float(row.abs_ratio_minus_1, precision),
-        ]
+        ]))
         for row in rows
     ]
-    params = _echo_params(ctx, kind=kind, z=str(z), n_max=n_max)
-    if fmt == "json":
-        payload = [
-            dict(zip(["n", "exact_value", "float_value", "leading_term", "abs_ratio_minus_1"], r))
-            for r in table
-        ]
-        _emit_json(_record("asympt", params, payload, fmt))
-        return
-    _emit_csv(["n", "exact_value", "float_value", "leading_term", "abs_ratio_minus_1"], table)
+    _emit("asympt", _echo_params(ctx, kind=kind, z=str(z), n_max=n_max), fmt, payload, header)
 
 
 @main.command("expand")
@@ -283,10 +260,9 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
             }
             if stream.tail_kind == "finite":
                 payload["reconstruction"]["exact_identity"] = poly == stream.as_polynomial()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable file, bad JSON, or a schema violation
         raise click.UsageError("bad stream file: %s" % exc)
-    params = _echo_params(ctx, terms=n_terms, input=str(input_path))
-    _emit_json(_record("expand", params, payload, "json"))
+    _emit("expand", _echo_params(ctx, terms=n_terms, input=str(input_path)), "json", payload, None)
 
 
 if __name__ == "__main__":

@@ -71,8 +71,12 @@ class CoefficientStream:
     @classmethod
     def from_json(cls, text: str) -> "CoefficientStream":
         """Parse {"coefficients": [rational strings], "tail": ...}; a schema
-        violation raises ValueError naming the field at fault."""
-        data = json.loads(text)
+        violation raises ValueError naming the field at fault, as does a document
+        nested too deeply for the parser."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("the JSON document nests too deeply to parse") from None
         if not isinstance(data, dict):
             raise ValueError("a stream must be a JSON object, got %s" % type(data).__name__)
         coeffs = data.get("coefficients")

@@ -354,6 +354,26 @@ class TestRatioDiagnostic:
         ratio_diagnostic(ctx, 2, Fraction(1, 5), [3])
         assert len(calls) == 6
 
+    def test_a_sweep_over_z_keeps_the_cache_entry_bounded(self, monkeypatch):
+        # the pair at 2cz is kept for the last z alone, so a long-lived sweep adds no memo per point
+        ctx = ctx_q("1/2", bits=134)
+        leading_term(ctx, 2, 3, Fraction(-1, 7))
+        keys = len(qcore.context_cache(ctx))
+        for k in range(200):
+            leading_term(ctx, 2, 3, Fraction(k, 199))
+        assert len(qcore.context_cache(ctx)) == keys
+        assert list(asympt._trig_slot(ctx, 2, 134)) == [1]
+        # and a sweep over degrees at one new point still sums the pair once
+        calls = []
+
+        def counting(ctx, kind, z, precision):
+            calls.append(kind)
+            return qtrig_certified(ctx, kind, z, precision=precision)
+
+        monkeypatch.setattr(asympt, "qtrig_certified", counting)
+        ratio_diagnostic(ctx, 2, Fraction(1, 3), range(1, 9))
+        assert calls == [QTrigKind.Cos_q, QTrigKind.Sin_q]
+
     def test_vanishing_combination_is_flagged(self):
         # at z = 0 and alpha = 1/2 the odd-degree combination is the sine
         # value at its own zero: the numbers vanish exactly, the computed

@@ -255,6 +255,41 @@ class TestAsympt:
         assert flags[1] != "indeterminate" and flags[3] != "indeterminate"
 
 
+class TestCsvCells:
+    """A CSV table holds the JSON payload's fields in header order: an absent
+    field is an empty cell and a boolean is lower case."""
+
+    @staticmethod
+    def cell(row, field):
+        value = row.get(field)
+        if value is None:
+            return ""
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3", "--via", via), "n,det,oracle,match")
+            for via in ("det", "oracle", "both")
+        ]
+        + [
+            (("zeros", "--kind", "3", "--q-quarter", "1/2", "--precision", "64"),
+             "name,location,interval_lo,interval_hi,residual"),
+            (("asympt", "--kind", "2", "--q", "1/2", "--z", "0", "--n-max", "4", "--precision", "64"),
+             "n,exact_value,float_value,leading_term,abs_ratio_minus_1"),
+        ],
+    )
+    def test_csv_rows_are_the_payload_fields(self, argv, header):
+        as_json, as_csv = run(*argv, "--format", "json"), run(*argv, "--format", "csv")
+        assert as_json.exit_code == as_csv.exit_code == 0
+        payload = json.loads(as_json.stdout)["payload"]
+        lines = list(csv.reader(io.StringIO(as_csv.stdout)))
+        assert lines[0] == header.split(",")
+        assert lines[1:] == [[self.cell(row, field) for field in lines[0]] for row in payload]
+        if "both" in argv:
+            assert {line[3] for line in lines[1:]} == {"true"}
+
+
 class TestExpand:
     def test_monomial_stream(self, tmp_path):
         stream = tmp_path / "stream.json"
@@ -344,6 +379,28 @@ class TestExpand:
         assert result.exit_code == 2
         assert field in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_deeply_nested_stream_is_2(self, tmp_path):
+        stream = tmp_path / "deep.json"
+        stream.write_text("[" * 100000 + "]" * 100000)
+        result = run("expand", "--q", "1/2", "--input", str(stream), "--terms", "1")
+        assert result.exit_code == 2
+        assert "bad stream file: the JSON document nests too deeply" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+    def test_unreadable_stream_is_2(self, tmp_path, monkeypatch):
+        from qbernoulli import cli
+
+        def unreadable(*args, **kwargs):
+            raise OSError(5, "Input/output error")
+
+        stream = tmp_path / "stream.json"
+        stream.write_text('{"coefficients": ["1"]}')
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        result = run("expand", "--q", "1/2", "--input", str(stream), "--terms", "1")
+        assert result.exit_code == 2
+        assert "bad stream file: [Errno 5] Input/output error" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 class TestGoldenFiles:

@@ -106,6 +106,11 @@ class TestStream:
         with pytest.raises(ValueError):
             CoefficientStream.from_json('{"coefficients": ["1"], "tail": "infinite"}')
 
+    def test_deep_nesting_is_a_value_error(self):
+        # the parser recurses once per level, so this ends in RecursionError unless turned
+        with pytest.raises(ValueError, match="nests too deeply"):
+            CoefficientStream.from_json('{"coefficients": %s}' % ("[" * 100000 + "]" * 100000))
+
 
 class TestTauEstimate:
     def test_zero_beyond_degree(self):
