@@ -23,6 +23,7 @@ from .qcore import QBernError, QContext
 from .series import oracle_bernoulli
 
 EXIT_DOMAIN = 3
+MAX_STREAM_BYTES = 1 << 24  # expand reads at most 16 MiB of --input; a longer file is a usage error
 
 
 def _parse_rational(text: str, label: str) -> Fraction:
@@ -243,8 +244,11 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
 
     ctx = _context(q_quarter, q_value, alpha, precision)
     try:
-        with open(input_path, "r", encoding="utf-8") as handle:
-            stream = expand_mod.CoefficientStream.from_json(handle.read())
+        with open(input_path, "rb") as handle:
+            data = handle.read(MAX_STREAM_BYTES + 1)  # a device such as /dev/zero never ends
+        if len(data) > MAX_STREAM_BYTES:
+            raise ValueError("the file is longer than the cap of %d bytes" % MAX_STREAM_BYTES)
+        stream = expand_mod.CoefficientStream.from_json(data.decode("utf-8"))
         ls = expand_mod.l_coefficients(ctx, stream, n_terms)
         payload = {"l_coefficients": [str(v) for v in ls]}
         if stream.tail_kind == "geometric":
@@ -260,7 +264,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
             }
             if stream.tail_kind == "finite":
                 payload["reconstruction"]["exact_identity"] = poly == stream.as_polynomial()
-    except (OSError, ValueError) as exc:  # an unreadable file, bad JSON, or a schema violation
+    except (OSError, ValueError) as exc:  # an unreadable or too long file, bad JSON, or a schema violation
         raise click.UsageError("bad stream file: %s" % exc)
     _emit("expand", _echo_params(ctx, terms=n_terms, input=str(input_path)), "json", payload, None)
 

@@ -8,10 +8,10 @@ matrix is upper Hessenberg, and so is the one of the numbers
 beta_n = B_n(0): its last column gives beta_n = -sum_{k=1..n}
 [n choose k]_q mu_k beta_(n-k), and every coefficient is a read-off,
 [z^i] B_n = [n choose i]_q w_i beta_(n-i) (Costabile & Longo 2010;
-Al-Salam 1967).  Production caches, per context and kind, only the
-normalised moments mu_k / [k]_q! and numbers b_n = beta_n / [n]_q! (b is
-the reciprocal of the moment series), reads polynomials off them on
-demand, and never reads the generating function.  The determinant, by
+Al-Salam 1967).  Production caches, per (q, alpha) and formula, only the
+normalised moments mu_k / [k]_q! and numbers b_n = beta_n / [n]_q! (b is the
+reciprocal of the moment series; kind 1 reads kind 2's), reads polynomials
+off them on demand, and never the generating function.  The determinant, by
 Bareiss elimination, is the tests' reference (:func:`bernoulli_poly_value`).
 
 The moment ratio (q^(2a+1); q^2)_m / (q^(2a+1); q)_m shares its m=0
@@ -64,14 +64,19 @@ def _bareiss_det(rows) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], denom)
 
 
+def _row_kind(kind):
+    """2 for the int 1, as kind 1 reads kind 2's moment and number rows; else kind, for the rows' checks."""
+    return 2 if type(kind) is int and kind == 1 else kind
+
+
 @cached_row
 def _moments(ctx: QContext, kind: int, row):
-    """The normalised moments mu_k / [k]_q!, k = 0, 1, ..., of this context and kind;
-    a context without an exact alpha raises, also at k = 0."""
+    """The normalised moments mu_k / [k]_q!, k = 0, 1, ..., of this context and kind 2 or 3
+    (kind 1 reads kind 2's); a context without an exact alpha raises, also at k = 0."""
     check_kind(kind)
     require_exact_alpha(ctx)  # m_0 = 1 needs no q-power, but only an exact context has moments
     yield Fraction(1)
-    if kind in (1, 2):
+    if kind != 3:  # kind 2's formula
         yield Fraction(1, 2)  # j = 1: an empty ratio over 2 [1]_q
         # running q^(2a+2j-1), q^(2a+j) and [j]_q from j = 2, where a missing root raises
         odd, shifted, k = ctx.q_pow(2 * ctx.alpha + 3), ctx.q_pow(2 * ctx.alpha + 2), Fraction(1)
@@ -104,7 +109,7 @@ def mu(ctx: QContext, kind: int, m: int) -> Fraction:
                / ((q^2;q^2)_k (q^(2a+2);q^2)_k),
     found by dividing that series at t/2 by exp_q(-t/2).  mu_0 = 1 for every kind.
     """
-    return q_factorial(ctx, check_degree(m, "m")) * _moments(ctx, kind, m)[m]
+    return q_factorial(ctx, check_degree(m, "m")) * _moments(ctx, _row_kind(kind), m)[m]
 
 
 def build_matrix(ctx: QContext, kind: int, n: int) -> tuple:
@@ -142,12 +147,12 @@ def _numbers(ctx: QContext, kind: int, row):
 def bernoulli_poly_det(ctx: QContext, kind: int, n: int) -> PolyZ:
     """Degree-n family member: the determinant representation, read off
     the cached numbers as [n]_q!/[i]_q! w_i b_(n-i)."""
-    return appell_poly(ctx, kind, n, _numbers(ctx, kind, n))
+    return appell_poly(ctx, kind, n, _numbers(ctx, _row_kind(kind), n))
 
 
 def bernoulli_number(ctx: QContext, kind: int, n: int) -> Fraction:
     """Value at z = 0, [n]_q! b_n; no polynomial is formed."""
-    return q_factorial(ctx, n) * _numbers(ctx, kind, n)[n]
+    return q_factorial(ctx, n) * _numbers(ctx, _row_kind(kind), n)[n]
 
 
 def bernoulli_poly_value(ctx: QContext, kind: int, n: int, z) -> Fraction:

@@ -25,13 +25,13 @@ lowest terms.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
-process-wide precision).  Results worth keeping live in one dict per
-context, bounded to the CACHED_CONTEXTS most recently used.  Its exact rows
-(q-factorials, w_m / [m]_q!, moments, numbers, the oracle's g and s, the
-ladder operators' factors) grow only through :func:`cached_row`, and its
-numeric results (first zeros, leading-term frames and trig pairs) are
-memoised only by :func:`cached`, so counters or a byte budget need attach
-at those two decorators alone.
+process-wide precision).  Results worth keeping live in one store per exact
+(q, alpha), shared by every precision (a float q or alpha keys its own), and
+bounded to the CACHED_CONTEXTS most recently used.  Its exact rows (q-factorials,
+w_m / [m]_q!, moments, numbers, the oracle's g and s, the ladder operators'
+factors) grow only through :func:`cached_row`, and its numeric results (first
+zeros, leading-term frames and trig pairs) are memoised only by :func:`cached`,
+so counters or a byte budget need attach at those two decorators alone.
 """
 
 from __future__ import annotations
@@ -117,12 +117,9 @@ class QContext:
             raise ValueError("float_precision_bits must be a positive integer, got %r" % (self.float_precision_bits,))
         object.__setattr__(self, "sqrt_q", rational_root(self.q, 2))
         object.__setattr__(self, "fourth_root_q", rational_root(self.q, 4))
-        # every cache lookup hashes the context, and each Fraction hash
-        # computes a modular inverse: hash once
-        object.__setattr__(self, "_hash", hash((self.q, self.alpha, self.float_precision_bits)))
-
-    def __hash__(self):
-        return self._hash
+        q, a = self.q, self.alpha  # the store's key holds ints: a Fraction's hash computes a modular inverse
+        key = (q.numerator, q.denominator, a.numerator, a.denominator) if type(q) is type(a) is Fraction else (q, a)
+        object.__setattr__(self, "store_key", key)
 
     @classmethod
     def from_fourth_root(cls, b, alpha, float_precision_bits: int = 128) -> "QContext":
@@ -209,11 +206,11 @@ _contexts: dict = {}  # least recently used first
 
 
 def context_cache(ctx: QContext) -> dict:
-    """The cache entry of ctx, created cold if absent: one dict of :func:`cached_row` rows and
-    :func:`cached` results."""
+    """The store of ctx's q and alpha, created cold if absent: one dict of :func:`cached_row`
+    rows and :func:`cached` results, shared by every precision."""
     with cache_lock:
-        entry = _contexts.pop(ctx, None)
-        _contexts[ctx] = entry = {} if entry is None else entry
+        entry = _contexts.pop(key := ctx.store_key, None)
+        _contexts[key] = entry = {} if entry is None else entry
         if len(_contexts) > CACHED_CONTEXTS:
             del _contexts[next(iter(_contexts))]
         return entry

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 
 from qbernoulli import (
     DomainError,
+    QBernError,
     QContext,
     QTrigKind,
     bernoulli_number,
@@ -17,7 +18,7 @@ from qbernoulli import (
     smallest_zero,
 )
 from qbernoulli import asympt, qcore, qfun
-from qbernoulli.asympt import _frame, bisect_zero
+from qbernoulli.asympt import GUARD_BITS, _certified_value, _frame, _resolve_sign, bisect_zero, bracket_first_zero
 from qbernoulli.qfun import modified_bessel_certified, qtrig_certified, to_mpf
 
 # independently frozen from a first run at elevated precision
@@ -121,15 +122,14 @@ class TestKindOne:
             smallest_zero(ctx, 1)
 
     @pytest.mark.parametrize("q, alpha, found", [("2/3", "1/8", True), ("3/5", "-1/8", False), ("1/2", "1/2", False)])
-    def test_at_most_one_kind1_evaluation(self, monkeypatch, q, alpha, found):
-        ctx = ctx_q(q, alpha, bits=120)
+    def test_at_most_one_kind1_evaluation(self, monkeypatch, cold_store, q, alpha, found):
+        ctx = cold_store(ctx_q(q, alpha, bits=120))
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return modified_bessel_certified(*args, **kwargs)
 
-        monkeypatch.delitem(qcore._contexts, ctx, raising=False)
         monkeypatch.setattr(asympt, "modified_bessel_certified", counting)
         if found:
             smallest_zero(ctx, 1)
@@ -151,6 +151,60 @@ def _target(precision, hi):
     return mpf(2) ** -(precision + 8) * max(mpf(1), hi)
 
 
+def stub(root, certified=lambda x: True, calls=None):
+    """evaluate(x, wp) of x -> root - x, no series summed: the bound is 0 where certified(x)
+    holds and swamps the value elsewhere; calls, when given, collects each (x, wp)."""
+
+    def evaluate(x, wp):
+        if calls is not None:
+            calls.append((x, wp))
+        value = mpf(root) - x
+        return value, mpf(0) if certified(x) else abs(value) + 1
+
+    return evaluate
+
+
+class TestZeroFinderBranches:
+    """The zero finder's rare branches, each reached through a stub evaluate(x, wp)."""
+
+    def test_a_point_no_precision_certifies_has_sign_zero(self):
+        calls = []
+        sign, value = _certified_value(stub(2, lambda x: False, calls), mpf(1), 64)
+        assert (sign, value) == (0, 1)
+        assert [wp for _, wp in calls] == [64 + GUARD_BITS, 128 + GUARD_BITS, 256 + 2 * GUARD_BITS]
+
+    def test_a_point_dead_on_a_zero_is_nudged_right(self):
+        step = mpf(1) / 4
+        sign, x = _resolve_sign(stub(2, lambda x: x != 1), mpf(1), step, 64)
+        assert (sign, x) == (1, 1 + step / 1024)
+
+    def test_a_sign_no_nudge_certifies_is_an_error(self):
+        calls = []
+        # the message names the last point tried, 1 + (1 + 2 + ... + 50) step / 1024
+        with pytest.raises(QBernError, match="^could not certify a sign near 1.311279296875$"):
+            _resolve_sign(stub(2, lambda x: False, calls), mpf(1), mpf(1) / 4, 64)
+        assert len(calls) == 51 * 3  # the point and 50 nudges, each at three precisions
+
+    def test_a_march_that_never_turns_negative_runs_out(self):
+        calls = []
+        with pytest.raises(DomainError, match="^no zero found in search range$"):
+            bracket_first_zero(stub(mpf(10) ** 100, calls=calls), mpf(1) / 4, 64)
+        assert len(calls) == 400
+
+    def test_an_already_narrow_bracket_is_returned_as_is(self):
+        calls = []
+        lo, hi = mpf(1), 1 + mpf(2) ** -80
+        assert bisect_zero(stub(1, calls=calls), lo, hi, 64) == (lo, hi, (lo + hi) / 2)
+        assert calls == []
+
+    def test_an_uncertifiable_probe_is_the_location(self):
+        # certified at the ends alone: the first probe is returned with the bracket unchanged
+        calls = []
+        lo, hi, location = bisect_zero(stub(mpf(1) / 3, lambda x: x in (0, 1), calls), 0, 1, 64)
+        assert (lo, hi) == (0, 1) and 0 < location < 1
+        assert [x for x, _ in calls[:2]] == [0, 1] and calls[-1][0] == location
+
+
 class TestRefinement:
     """The zero refinement's contract and its probe counts."""
 
@@ -162,7 +216,7 @@ class TestRefinement:
     ]
 
     @pytest.mark.parametrize("ctx, kind", CASES)
-    def test_contract_and_evaluation_count(self, monkeypatch, ctx, kind):
+    def test_contract_and_evaluation_count(self, monkeypatch, cold_store, ctx, kind):
         calls = []
 
         def counting(*args, **kwargs):
@@ -170,7 +224,7 @@ class TestRefinement:
             return modified_bessel_certified(*args, **kwargs)
 
         # a cold cache entry, so the zero is located rather than looked up
-        monkeypatch.delitem(qcore._contexts, ctx, raising=False)
+        cold_store(ctx)
         monkeypatch.setattr(asympt, "modified_bessel_certified", counting)
         result = smallest_zero(ctx, kind, 128)
         lo, hi = result.certified_interval
@@ -248,6 +302,11 @@ class TestNamedTrigZeros:
 
 
 class TestBesselDerivative:
+    @pytest.mark.parametrize("x", [0, -1, Fraction(-1, 3)])
+    def test_x_must_be_positive(self, x):
+        with pytest.raises(ValueError, match="^x must be positive$"):
+            bessel_derivative_at(ctx_q("1/2"), 2, x)
+
     def test_small_argument_behaves_linearly(self):
         ctx = ctx_q("1/2")
         tiny = bessel_derivative_at(ctx, 2, Fraction(1, 2**20))
@@ -297,8 +356,8 @@ class TestLeadingTerm:
             assert frame_even.components["trig_combination"] == cos_at_c
             assert frame_odd.components["trig_combination"] == 0 - sin_at_c
 
-    def test_frame_is_computed_once_per_kind_and_precision(self, monkeypatch):
-        ctx = ctx_q("1/2", bits=132)
+    def test_frame_is_computed_once_per_kind_and_precision(self, monkeypatch, cold_store):
+        ctx = cold_store(ctx_q("1/2", bits=132))
         derivative = asympt.modified_bessel_derivative_certified
         calls = []
 
@@ -336,10 +395,10 @@ class TestRatioDiagnostic:
             with mp.workprec(168):
                 assert row.float_value == to_mpf(bernoulli_number(ctx, 2, row.n))
 
-    def test_trig_pair_at_2cz_is_computed_once_per_point(self, monkeypatch):
+    def test_trig_pair_at_2cz_is_computed_once_per_point(self, monkeypatch, cold_store):
         # the pair at 2cz depends on z alone, so a sweep over degrees sums it once;
         # the frame's pair at c accounts for the other two calls
-        ctx = ctx_q("1/2", bits=133)
+        ctx = cold_store(ctx_q("1/2", bits=133))
         calls = []
 
         def counting(ctx, kind, z, precision):

@@ -403,6 +403,28 @@ class TestExpand:
         assert "Traceback" not in result.stderr and result.stdout == ""
 
 
+    def test_endless_stream_is_2(self):
+        # a device file passes click's checks; the read stops at the cap
+        result = run("expand", "--q", "1/2", "--input", "/dev/zero", "--terms", "1")
+        assert result.exit_code == 2
+        assert "bad stream file: the file is longer than the cap of 16777216 bytes" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+    def test_stream_one_byte_over_the_cap_is_2(self, tmp_path, monkeypatch):
+        from qbernoulli import cli
+
+        stream = tmp_path / "stream.json"
+        stream.write_text('{"coefficients": ["0", "0", "1"], "tail": "finite"}')
+        size = stream.stat().st_size
+        monkeypatch.setattr(cli, "MAX_STREAM_BYTES", size)
+        assert run("expand", "--q", "1/2", "--input", str(stream), "--terms", "2").exit_code == 0
+        monkeypatch.setattr(cli, "MAX_STREAM_BYTES", size - 1)
+        result = run("expand", "--q", "1/2", "--input", str(stream), "--terms", "2")
+        assert result.exit_code == 2
+        assert "bad stream file: the file is longer than the cap of %d bytes" % (size - 1) in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 class TestGoldenFiles:
     def test_poly_golden(self):
         args = ["poly", "--kind", "1", "--q", "1/4", "--alpha", "1/2", "--n", "6", "--via", "both"]

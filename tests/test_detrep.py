@@ -18,8 +18,8 @@ from qbernoulli import (
     q_factorial,
     q_int,
 )
-from qbernoulli import detrep
-from qbernoulli.detrep import _bareiss_det, _moments, _numbers
+from qbernoulli import detrep, qcore
+from qbernoulli.detrep import _bareiss_det, _moments, _numbers, _row_kind
 from qbernoulli.qcore import _factorials, context_cache
 from qbernoulli.series import _exp_row, _oracle_scalars, exp_weight, expq_reciprocal_series
 
@@ -149,12 +149,12 @@ class TestMu:
                 with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
                     bernoulli_poly_value(ctx.with_alpha(Fraction(1, 2)), kind, n, Fraction(1, 3))
 
-    def test_kind3_moments_stepwise_compute_each_weight_once(self, monkeypatch):
+    def test_kind3_moments_stepwise_compute_each_weight_once(self, monkeypatch, cold_store):
         # built one degree at a time, the kind-3 moments take as many q-powers as in
         # one call: h and the Bessel weights run on, not rebuilt per extension
         counts = []
-        for bits, steps in ((140, range(13)), (141, (12,))):
-            ctx = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), bits)
+        for steps in (range(13), (12,)):
+            ctx = cold_store(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2)))
             calls = []
             q_pow_quarters = QContext.q_pow_quarters
             monkeypatch.setattr(QContext, "q_pow_quarters", lambda self, m: calls.append(m) or q_pow_quarters(self, m))
@@ -289,11 +289,14 @@ class TestNumbers:
 
 
 class TestTableCache:
-    def test_two_threads_extend_one_table(self):
-        # equal q and alpha, so equal exact tables, but distinct cache keys
-        reference = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 128)
+    def test_two_threads_extend_one_table(self, cold_store):
+        # equal q and alpha, so one store: the threads extend it again from cold,
+        # against a copy of the rows the reference built
+        reference = cold_store(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 128))
         shared = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 129)
         expected = [bernoulli_poly_det(reference, 3, n) for n in range(15)]
+        ref = {key: list(values) for key, (values, _) in context_cache(reference).items()}
+        cold_store(shared)
         barrier = threading.Barrier(2)
         results = [None, None]
 
@@ -314,34 +317,63 @@ class TestTableCache:
         assert not any(thread.is_alive() for thread in threads)
         for result in results:
             assert result == [expected[14]] + expected[:14]
-        rows, ref = context_cache(shared), context_cache(reference)
-        assert rows[_numbers, 3][0] == ref[_numbers, 3][0]
+        rows = context_cache(shared)
+        assert rows[_numbers, 3][0] == ref[_numbers, 3]
         assert len(rows[_numbers, 3][0]) == 15
         assert len(rows[_moments, 3][0]) == 15
         assert len(rows[_exp_row, 3][0]) == 15
-        assert rows[_exp_row, 3][0] == ref[_exp_row, 3][0]
+        assert rows[_exp_row, 3][0] == ref[_exp_row, 3]
 
-    def test_cache_holds_numbers_not_polynomials(self):
+    def test_cache_holds_numbers_not_polynomials(self, cold_store):
         # memory per context is O(N): after degree-40 tables of every kind
-        # each per-kind list holds exactly the 41 scalars b_0..b_40
-        ctx = QContext.from_fourth_root(Fraction(3, 7), Fraction(1, 2), 131)
+        # each moment and number row holds exactly the 41 scalars b_0..b_40,
+        # and kind 1 reads kind 2's
+        ctx = cold_store(QContext.from_fourth_root(Fraction(3, 7), Fraction(1, 2)))
         for kind in (1, 2, 3):
             for n in range(41):
                 bernoulli_poly_det(ctx, kind, n)
         cache = context_cache(ctx)
-        rows = {(row, kind) for row in (_exp_row, _moments, _numbers) for kind in (1, 2, 3)}
+        rows = {(_exp_row, kind) for kind in (1, 2, 3)} | {(row, kind) for row in (_moments, _numbers) for kind in (2, 3)}
         assert set(cache) == rows | {(_factorials, None)}
         for kind in (1, 2, 3):
-            assert len(cache[_moments, kind][0]) == 41
-            assert len(cache[_numbers, kind][0]) == 41
-            assert all(isinstance(b, Fraction) for b in cache[_numbers, kind][0])
+            assert len(cache[_moments, _row_kind(kind)][0]) == 41
+            assert len(cache[_numbers, _row_kind(kind)][0]) == 41
+            assert all(isinstance(b, Fraction) for b in cache[_numbers, _row_kind(kind)][0])
+
+    def test_precisions_share_one_store(self, cold_store):
+        # the rows are functions of q and alpha alone: after the 128-bit call, the
+        # 256- and 512-bit calls read them and compute no entry, and one store is added
+        ctxs = [QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), bits) for bits in (128, 256, 512)]
+        cold_store(ctxs[0])
+        stores = len(qcore._contexts)
+        expected = bernoulli_number(ctxs[0], 3, 80)
+        cache = context_cache(ctxs[0])
+        lengths = {key: len(values) for key, (values, _) in cache.items()}
+        for ctx in ctxs[1:]:
+            assert bernoulli_number(ctx, 3, 80) == expected
+            assert context_cache(ctx) is cache
+        assert {key: len(values) for key, (values, _) in cache.items()} == lengths
+        assert len(qcore._contexts) == stores + 1
+
+    def test_kind1_reads_kind2_rows(self, cold_store):
+        # one moment sequence serves types 1 and 2, so a kind-1 table leaves no kind-1 row
+        ctx = cold_store(QContext.from_fourth_root(Fraction(2, 5), Fraction(-1, 4)))
+        polys = [bernoulli_poly_det(ctx, 1, n) for n in range(9)]
+        numbers = [bernoulli_number(ctx, 1, n) for n in range(9)]
+        moments = [mu(ctx, 1, m) for m in range(9)]
+        cache = context_cache(ctx)
+        assert (_moments, 1) not in cache and (_numbers, 1) not in cache
+        assert len(cache[_moments, 2][0]) == len(cache[_numbers, 2][0]) == 9
+        assert polys == [oracle_bernoulli(ctx, 1, n) for n in range(9)]
+        assert numbers == [bernoulli_number(ctx, 2, n) for n in range(9)]
+        assert moments == [mu(ctx, 2, m) for m in range(9)]
 
 
 class TestOracleIndependence:
-    def test_cold_oracle_reads_no_moments_or_numbers(self, monkeypatch):
-        reference = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4), 164)
-        cold = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4), 165)
+    def test_cold_oracle_reads_no_moments_or_numbers(self, monkeypatch, cold_store):
+        reference = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4))
         expected = {kind: [bernoulli_poly_det(reference, kind, n) for n in range(13)] for kind in (1, 2, 3)}
+        cold = cold_store(QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 4)))
 
         def refuse(*args):
             raise AssertionError("the oracle read the determinant route's rows")
@@ -351,14 +383,15 @@ class TestOracleIndependence:
         for kind in (1, 2, 3):
             assert [oracle_bernoulli(cold, kind, n) for n in range(13)] == expected[kind]
 
-    def test_a_corrupted_row_breaks_the_agreement(self):
-        # one wrong number or one wrong s entry shows from its degree on
-        ctx = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2), 166)
+    def test_a_corrupted_row_breaks_the_agreement(self, cold_store):
+        # one wrong number or one wrong s entry shows from its degree on; kind 1's
+        # numbers are kind 2's row
+        ctx = cold_store(QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2)))
         cache = context_cache(ctx)
         for kind in (1, 2, 3):
             for n in range(9):
                 assert bernoulli_poly_det(ctx, kind, n) == oracle_bernoulli(ctx, kind, n)
-            for row in (cache[_numbers, kind][0], cache[_oracle_scalars, kind][0]):
+            for row in (cache[_numbers, _row_kind(kind)][0], cache[_oracle_scalars, kind][0]):
                 saved = row[5]
                 row[5] = saved + 1
                 try:

@@ -236,6 +236,20 @@ class TestQContext:
         assert CACHED_CONTEXTS == 64
         assert len(_contexts) <= CACHED_CONTEXTS
 
+    def test_one_store_per_exact_q_and_alpha(self):
+        # precision is no part of the store's key, and a float q or alpha keys a store of its
+        # own: an equal exact context's warm rows do not serve it
+        exact = QContext.from_q(Fraction(1, 2), Fraction(1, 2), 128)
+        assert hash(exact) == hash((exact.q, exact.alpha, 128))
+        assert context_cache(exact) is context_cache(QContext.from_q(Fraction(1, 2), Fraction(1, 2), 512))
+        assert context_cache(exact) is not context_cache(exact.with_alpha(0))
+        q_factorial(exact, 3)
+        for floats in (QContext(q=0.5, alpha=0.5), QContext(q=0.5, alpha=Fraction(1, 2))):
+            assert floats == exact and hash(floats) == hash(exact)
+            assert context_cache(floats) is not context_cache(exact)
+            with pytest.raises(ExactModeError, match="rational q"):
+                q_factorial(floats, 3)
+
 
 class TestParameterTypes:
     # a float q or alpha builds a context for the numerics; exact paths name the parameter and refuse it

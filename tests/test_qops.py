@@ -93,9 +93,9 @@ class TestFactorRows:
                 delta_q(ctx, p)
         assert delta_q(ctx, PolyZ([0, 1])) == PolyZ([1])
 
-    def test_cache_holds_scalar_rows_only(self):
+    def test_cache_holds_scalar_rows_only(self, cold_store):
         # the ladder check reads polynomials off the rows and caches none of them
-        ctx = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 151)
+        ctx = cold_store(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2)))
         for kind in (2, 3):
             assert all(entry["pass"] for entry in appell_check(ctx, kind, 12))
         cache = context_cache(ctx)

@@ -161,7 +161,7 @@ class TestGeneratingFunction:
             series = gf_denominator(ctx, kind, 9)
             assert all(series.coefficient(m) == 0 for m in range(1, 10, 2))
 
-    def test_denominator_running_product_matches_pochhammers(self):
+    def test_denominator_running_product_matches_pochhammers(self, cold_store):
         # each even coefficient formed from scratch by the closed form, against
         # the cached row built stepwise (N = 0..20) and in jumps (3 -> 11 -> 20)
         # on cold cache entries; the reciprocal base has q > 1
@@ -176,10 +176,11 @@ class TestGeneratingFunction:
                 expected *= ctx.q_pow_quarters(4 * n * n + 2 * n)
             return expected
 
-        for bits, steps in ((150, range(21)), (151, (3, 11, 20))):
-            cases = [(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4), bits), (1, 2, 3))]
-            cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2), bits).reciprocal_base(), (1, 2)))
+        for steps in (range(21), (3, 11, 20)):
+            cases = [(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 4)), (1, 2, 3))]
+            cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2)).reciprocal_base(), (1, 2)))
             for ctx, kinds in cases:
+                cold_store(ctx)
                 for kind in kinds:
                     for N in steps:
                         series = gf_denominator(ctx, kind, N)
@@ -201,16 +202,17 @@ class TestGeneratingFunction:
             with pytest.raises(ExactModeError, match="4\\*alpha"):
                 series(ctx.with_alpha(Fraction(1, 3)), 4, -1)
 
-    def test_exponential_row_matches_closed_form(self):
+    def test_exponential_row_matches_closed_form(self, cold_store):
         # the cached row, extended in two steps on cold cache entries, against
         # w_m / [m]_q! formed per m; kind 3 needs the square root of q
         cases = [
-            (QContext.from_q(q, alpha, 137), (1, 2, 3))
+            (QContext.from_q(q, alpha), (1, 2, 3))
             for q in (Fraction(1, 16), Fraction(1, 4), Fraction(9, 16))
             for alpha in ALPHAS
         ]
-        cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2), 137).reciprocal_base(), (1, 2)))
+        cases.append((QContext.from_q(Fraction(1, 4), Fraction(1, 2)).reciprocal_base(), (1, 2)))
         for ctx, kinds in cases:
+            cold_store(ctx)
             for kind in kinds:
                 _exp_row(ctx, kind, 7)
                 row = _exp_row(ctx, kind, 40)
@@ -218,10 +220,10 @@ class TestGeneratingFunction:
                 for m in range(41):
                     assert row[m] == exp_weight(ctx, kind, m) / q_factorial(ctx, m)
 
-    def test_a_raising_row_leaves_no_state(self):
+    def test_a_raising_row_leaves_no_state(self, cold_store):
         # a bad kind leaves no row behind, and a missing root raises the same error
         # on every call (a dead generator left cached would raise StopIteration)
-        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2), 138)
+        ctx = cold_store(QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2)))
         with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
             gf_numerator(ctx, 4, 3)
         assert [key for key in context_cache(ctx) if key[1] == 4] == []
@@ -271,17 +273,17 @@ def uncached_division(ctx, kind, N):
 
 
 class TestOracleRows:
-    def test_stepwise_row_matches_one_division(self):
+    def test_stepwise_row_matches_one_division(self, cold_store):
         for q in (Fraction(1, 16), Fraction(1, 4), Fraction(9, 16)):
             for alpha in ALPHAS:
-                ctx = QContext.from_q(q, alpha, 160)
+                ctx = cold_store(QContext.from_q(q, alpha))
                 for kind in (1, 2, 3):
                     for N in range(31):
                         row = _oracle_scalars(ctx, kind, N)
                     assert row == uncached_division(ctx, kind, 30)
 
-    def test_warm_sweep_does_no_work(self, monkeypatch):
-        ctx = QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2), 161)
+    def test_warm_sweep_does_no_work(self, monkeypatch, cold_store):
+        ctx = cold_store(QContext.from_fourth_root(Fraction(3, 5), Fraction(1, 2)))
         cache = context_cache(ctx)
         q_pow = QContext.q_pow
         for kind in (1, 2, 3):
@@ -297,11 +299,14 @@ class TestOracleRows:
             assert cache[_oracle_scalars, kind][0] is s_row and s_row == s_copy
             assert (len(g_row), len(s_row)) == (11, 21)
 
-    def test_two_threads_extend_one_oracle_row(self):
-        # equal q and alpha, so equal rows, but distinct cache keys
-        reference = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 162)
+    def test_two_threads_extend_one_oracle_row(self, cold_store):
+        # equal q and alpha, so one store: the threads extend it again from cold,
+        # against a copy of the rows the reference built
+        reference = cold_store(QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 162))
         shared = QContext.from_fourth_root(Fraction(2, 3), Fraction(1, 2), 163)
         expected = [oracle_bernoulli(reference, 3, n) for n in range(21)]
+        ref = {key: list(values) for key, (values, _) in context_cache(reference).items()}
+        cold_store(shared)
         barrier = threading.Barrier(2)
         results = [None, None]
 
@@ -321,10 +326,10 @@ class TestOracleRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected, expected]
-        rows, ref = context_cache(shared), context_cache(reference)
+        rows = context_cache(shared)
         s_row, g_row = rows[_oracle_scalars, 3][0], rows[_even_row, 3][0]
-        assert s_row == ref[_oracle_scalars, 3][0] and len(s_row) == 21
-        assert g_row == ref[_even_row, 3][0] and len(g_row) == 11
+        assert s_row == ref[_oracle_scalars, 3] and len(s_row) == 21
+        assert g_row == ref[_even_row, 3] and len(g_row) == 11
 
 
 def scalar_reciprocal_product(ctx, kind, scale, order):

@@ -105,6 +105,9 @@ def objects(qb) -> dict:
             qb.QContext.from_fourth_root(F(2, 3), F(-1, 2), 64),
             qb.QContext.from_q(F(1, 4), F(0), 64),
             qb.QContext.from_q(F(1, 2), F(1, 3), 64),
+            # ctx0's q and alpha at another precision, so the calls also cross one (q, alpha)'s
+            # cache store at two precisions
+            qb.QContext.from_fourth_root(F(1, 2), F(1, 2), 96),
         ],
         "series": [qb.TruncatedSeries([1, F(1, 2), F(-1, 3)]), qb.TruncatedSeries([2, 0, 1])],
         "poly": [qb.PolyZ([1, 2, F(1, 3)]), qb.PolyZ([0, 0, 0, 5])],
