@@ -85,14 +85,14 @@ def _certified_value(evaluate, x, precision):
 def _resolve_sign(evaluate, x, step, precision):
     """Certified sign at x, nudging slightly right when x sits dead on a
     zero, so bracket endpoints always carry a provable sign."""
-    sign = _certified_value(evaluate, x, precision)[0]
+    start, sign = x, _certified_value(evaluate, x, precision)[0]
     attempt = 1
     while sign == 0 and attempt <= 50:
         x = x + step / 1024 * attempt
         sign = _certified_value(evaluate, x, precision)[0]
         attempt += 1
     if sign == 0:
-        raise QBernError("could not certify a sign near %s" % x)
+        raise QBernError("could not certify a sign near %s (nudged up to %s)" % (start, x))
     return sign, x
 
 
@@ -213,11 +213,6 @@ _NAMED = {
 }
 
 
-def _check_named(which: str):
-    if which not in _NAMED:
-        raise ValueError("which must be one of %s" % sorted(_NAMED))
-
-
 def _zero_scale(q: mpf, kind: int) -> mpf:
     """Factor taking a first Bessel zero into the generating variable:
     1/(2(1-q)) for kind 2, q^(1/4)/(1-q) for kind 3."""
@@ -234,7 +229,7 @@ def named_trig_zero(ctx: QContext, which: str, precision: int | None = None) -> 
     The reported residual is the q-trig function's own value at the
     location, an independent check of the reduction.
     """
-    with numeric_frame(ctx, precision, check=partial(_check_named, which)) as precision:
+    with numeric_frame(ctx, precision, check=partial(check_kind, which, tuple(_NAMED), "which")) as precision:
         kind, alpha, trig, prescale = _NAMED[which]
         reduced = ctx.with_alpha(alpha)
         bessel = smallest_zero(reduced, kind, precision)
@@ -251,7 +246,7 @@ def bessel_derivative_at(ctx: QContext, kind: int, x) -> mpf:
     """d/dz of the modified q-Bessel function (base q**2) at x > 0."""
     with numeric_frame(ctx):
         if not to_mpf(x) > 0:
-            raise ValueError("x must be positive")
+            raise ValueError("x must be positive, got %r" % (x,))
         value, _ = modified_bessel_derivative_certified(ctx, kind, x)
         return rounded_to_context(ctx, value)
 

@@ -73,7 +73,6 @@ def _row_kind(kind):
 def _moments(ctx: QContext, kind: int, row):
     """The normalised moments mu_k / [k]_q!, k = 0, 1, ..., of this context and kind 2 or 3
     (kind 1 reads kind 2's); a context without an exact alpha raises, also at k = 0."""
-    check_kind(kind)
     require_exact_alpha(ctx)  # m_0 = 1 needs no q-power, but only an exact context has moments
     yield Fraction(1)
     if kind != 3:  # kind 2's formula

@@ -25,13 +25,15 @@ lowest terms.
 
 Contexts are immutable and every function here is pure, so exact values
 can be shared freely across threads (the mpmath numerics still set the
-process-wide precision).  Results worth keeping live in one store per exact
-(q, alpha), shared by every precision (a float q or alpha keys its own), and
-bounded to the CACHED_CONTEXTS most recently used.  Its exact rows (q-factorials,
-w_m / [m]_q!, moments, numbers, the oracle's g and s, the ladder operators'
-factors) grow only through :func:`cached_row`, and its numeric results (first
-zeros, leading-term frames and trig pairs) are memoised only by :func:`cached`,
-so counters or a byte budget need attach at those two decorators alone.
+process-wide precision).  Results worth keeping live in one store per
+(q, alpha), shared by every precision, and bounded to the CACHED_CONTEXTS most
+recently used; an exact context never shares its store with a float one, and
+float contexts of equal values share theirs, where :func:`cached_row` refuses
+a float q on every read.  Its exact rows (q-factorials, w_m / [m]_q!, moments,
+numbers, the oracle's g and s, the ladder operators' factors) grow only through
+:func:`cached_row`, and its numeric results (first zeros, leading-term frames
+and trig pairs) are memoised only by :func:`cached`, so counters or a byte
+budget need attach at those two decorators alone.
 """
 
 from __future__ import annotations
@@ -219,18 +221,19 @@ def context_cache(ctx: QContext) -> dict:
 def cached_row(terms):
     """Decorator: terms(ctx, kind, row) yields a row's entries in order, reading earlier ones
     from row; name(ctx, kind, n) returns the cached row, extended under cache_lock to hold
-    entries 0..n.  A raising entry drops the row, so the next call raises the same again."""
+    entries 0..n.  A raising entry drops the row, so the next call raises the same again.
+    Every read, warm or cold, checks n, then the kind, then that q is rational; alpha is left to
+    the formulas that read it, as only contexts of that exact (q, alpha) reach such a row."""
 
     @wraps(terms)
     def row(ctx, kind, n):
         check_degree(n)
-        if type(kind) is bool:  # True and False would read the rows of kinds 1 and 0
-            check_kind(kind)
+        check_kind(kind)
+        require_rational(ctx.q, "q")
         rows, key = context_cache(ctx), (row, kind)
         entry = rows.get(key)
         if entry and len(entry[0]) > n:
             return entry[0]
-        require_rational(ctx.q, "q")
         with cache_lock:
             values, entries = rows.setdefault(key, (new := [], terms(ctx, kind, new)))
             try:
@@ -326,8 +329,8 @@ def q_int(ctx: QContext, n: int) -> Fraction:
 
 @cached_row
 def _factorials(ctx: QContext, kind, row):
-    """[0]_q!, [1]_q!, ...; one row per context, whatever the kind, each [n]_q carried by the
-    step [n] = 1 + q [n-1]."""
+    """[0]_q!, [1]_q!, ...; one row per context, read under kind 1 (the kind does not enter),
+    each [n]_q carried by the step [n] = 1 + q [n-1]."""
     k = Fraction(1)
     yield k
     while True:
@@ -337,7 +340,7 @@ def _factorials(ctx: QContext, kind, row):
 
 def q_factorials(ctx: QContext, n: int) -> list:
     """The cached list [0]_q!, [1]_q!, ..., at least up to [n]_q!."""
-    return _factorials(ctx, None, n)
+    return _factorials(ctx, 1, n)
 
 
 def q_factorial(ctx: QContext, n: int) -> Fraction:

@@ -214,7 +214,6 @@ def exp_weight(ctx: QContext, kind: int, m: int) -> Fraction:
 @cached_row
 def _exp_row(ctx: QContext, kind: int, row):
     """The coefficients w_m / [m]_q!, m = 0, 1, ..., of this context and kind."""
-    check_kind(kind)
     while True:
         m = len(row)
         yield exp_weight(ctx, kind, m) / q_factorials(ctx, m)[m]
@@ -248,7 +247,6 @@ def _even_row(ctx: QContext, kind: int, row):
     """g_0, g_2, g_4, ... of this context and kind; a context without an exact alpha
     raises, also at g_0."""
     require_exact_alpha(ctx)
-    check_kind(kind)
     yield Fraction(1)
     # running q^(2n), q^(2a+2n) and step q^(2a+4n-2) or q^(2n-1/2), from n = 1: a missing root raises
     q2, half2 = ctx.q**2, (1 - ctx.q) ** 2 / 4

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import mpmath
@@ -180,8 +181,8 @@ class TestZeroFinderBranches:
 
     def test_a_sign_no_nudge_certifies_is_an_error(self):
         calls = []
-        # the message names the last point tried, 1 + (1 + 2 + ... + 50) step / 1024
-        with pytest.raises(QBernError, match="^could not certify a sign near 1.311279296875$"):
+        # the message names the point, then the last one tried, 1 + (1 + 2 + ... + 50) step / 1024
+        with pytest.raises(QBernError, match=r"^could not certify a sign near 1.0 \(nudged up to 1.311279296875\)$"):
             _resolve_sign(stub(2, lambda x: False, calls), mpf(1), mpf(1) / 4, 64)
         assert len(calls) == 51 * 3  # the point and 50 nudges, each at three precisions
 
@@ -300,11 +301,17 @@ class TestNamedTrigZeros:
         with pytest.raises(ValueError):
             named_trig_zero(ctx_q("1/2"), "Tan_q")
 
+    @pytest.mark.parametrize("which", ["Tan_q", "sin_q", None, ["Sin_q"]])
+    def test_an_unknown_name_is_named_in_the_error(self, which):
+        message = "^which must be Sin_q, Cos_q, S_q or C_q_scaled, got %s$" % re.escape(repr(which))
+        with pytest.raises(ValueError, match=message):
+            named_trig_zero(ctx_q("1/2"), which)
+
 
 class TestBesselDerivative:
     @pytest.mark.parametrize("x", [0, -1, Fraction(-1, 3)])
     def test_x_must_be_positive(self, x):
-        with pytest.raises(ValueError, match="^x must be positive$"):
+        with pytest.raises(ValueError, match="^x must be positive, got %s$" % re.escape(repr(x))):
             bessel_derivative_at(ctx_q("1/2"), 2, x)
 
     def test_small_argument_behaves_linearly(self):

@@ -120,6 +120,13 @@ def test_replay_marks_and_resets_a_precision_left_behind():
     assert mp.prec == 53
 
 
+def test_a_replay_that_cannot_run_exits_2():
+    # 1 means that calls differ, so CI can fail a crash and still only report a difference
+    with pytest.raises(SystemExit) as stop:
+        replay.main(["--against", "no-such-rev"])
+    assert stop.value.code == 2
+
+
 def test_a_short_replay_repeats_itself():
     # the second run reads warm caches; every line, CLI calls included, must stay the same
     first, second = (list(replay.replay(seed=5, count=80, limit=LIMIT)) for _ in range(2))

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -14,7 +15,11 @@ from qbernoulli import (
     bernoulli_poly_det,
     dq,
     eval_Eq,
+    gf_denominator,
+    leading_term,
+    mu,
     oracle_bernoulli,
+    psi,
     q_binomial,
     q_factorial,
     q_int,
@@ -290,6 +295,40 @@ class TestParameterTypes:
     def test_float_q_still_serves_the_numerics(self):
         ctx = QContext(q=0.5, alpha=0.5)
         assert eval_Eq(ctx, Fraction(1, 3)) == eval_Eq(QContext.from_q(Fraction(1, 2), Fraction(1, 2)), Fraction(1, 3))
+
+
+class TestWarmAndColdAgree:
+    """Every exact row checks its degree, kind and q on each read, so a call's outcome does not
+    depend on what earlier calls left in the store."""
+
+    KIND_CALLS = (bernoulli_number, bernoulli_poly_det, oracle_bernoulli, mu, gf_denominator, appell_check)
+    Q_CALLS = (lambda ctx: q_factorial(ctx, 3), lambda ctx: psi(ctx, 3), lambda ctx: dq(ctx, PolyZ([1, 2, 3])))
+
+    @pytest.mark.parametrize("kind", [True, 1.0, 2.0, 3.0, Fraction(2)], ids=repr)
+    def test_a_kind_equal_to_a_valid_one_is_refused_cold_and_warm(self, cold_store, kind):
+        ctx = cold_store(QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2)))
+        message = "^kind must be 1, 2 or 3, got %s$" % re.escape(repr(kind))
+        for warm in (False, True):
+            if warm:
+                for call in self.KIND_CALLS:
+                    for valid in (1, 2, 3):
+                        call(ctx, valid, 3)
+            for call in self.KIND_CALLS:
+                with pytest.raises(ValueError, match=message):
+                    call(ctx, kind, 3)
+
+    def test_a_float_q_is_refused_after_an_equal_rational_q_warmed_their_store(self, cold_store):
+        exact, floats = QContext(q=Fraction(1, 2), alpha=0.5), QContext(q=0.5, alpha=0.5)
+        assert context_cache(exact) is context_cache(floats)  # their store keys are equal
+        cold_store(exact)
+        for warm in (False, True):
+            if warm:
+                for call in self.Q_CALLS:
+                    call(exact)
+                assert q_factorial(exact, 3) == Fraction(21, 8)
+            for call in self.Q_CALLS + (lambda ctx: leading_term(ctx, 2, 3, Fraction(1, 4)),):
+                with pytest.raises(ExactModeError, match="rational q, got q=0.5$"):
+                    call(floats)
 
 
 def test_factorial_row_is_the_product_of_q_integers():

@@ -100,7 +100,7 @@ class TestFactorRows:
             assert all(entry["pass"] for entry in appell_check(ctx, kind, 12))
         cache = context_cache(ctx)
         rows = {(row, kind) for row in (_exp_row, _moments, _numbers, _factors) for kind in (2, 3)}
-        assert set(cache) == rows | {(_factorials, None), (_factors, 1)}
+        assert set(cache) == rows | {(_factorials, 1), (_factors, 1)}
         for values, _ in cache.values():
             assert all(type(value) is Fraction for value in values)
         assert len(cache[_factors, 1][0]) == len(cache[_factors, 3][0]) == 13

@@ -7,9 +7,9 @@ Run from the root of a checkout (stdlib only, besides the package under test)::
 
 Each call runs one function of ``qbernoulli.__all__`` or one ``qbern``
 subcommand, with arguments drawn from the seed: mostly valid ones, and in
-about one call of four a junk value (None, -1, 0, 3, 1/3, 1.5, inf, nan,
-True or "x") in one numeric argument, that is a kind, a degree, a point or
-a precision.  Each line holds the call and its outcome: the result in
+about one call of four a junk value (None, -1, 0, 3, 1/3, 1.5, 2.0, inf,
+nan, True or "x") in one numeric argument, that is a kind, a degree, a point
+or a precision.  Each line holds the call and its outcome: the result in
 canonical form (an mpf as its ``_mpf_`` tuple, a Fraction as "p/r"), the
 exception's type and message, or "timeout" for a call still running after
 LIMIT seconds; a CLI call gives its exit code, stdout and stderr.  A call
@@ -21,7 +21,9 @@ compares with revisions whose replay has no such check.
 ``--against REV`` runs the same call list twice, in fresh interpreters: on
 this checkout's ``src/`` and on REV's, extracted from ``git archive`` into a
 temporary directory, so a killed run leaves nothing in the repository.  It
-prints the first differing calls and exits 1 if any line differs.
+prints the first differing calls and exits 1 if any line differs, or 2 if
+either replay or ``git archive`` fails, so a crash is told apart from a
+difference.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ COUNT = 1000  # library calls per seed; a quarter as many CLI calls follow
 LIMIT = 1.0  # seconds before a call counts as a timeout
 SHOW = 20  # differing calls printed by --against
 
-JUNK = (None, -1, 0, 3, F(1, 3), 1.5, float("inf"), float("nan"), True, "x")
+JUNK = (None, -1, 0, 3, F(1, 3), 1.5, 2.0, float("inf"), float("nan"), True, "x")
 CLI_JUNK = ("x", "-1", "0", "1.5", "inf", "nan", "", "1/0")
 KIND, KIND23, DEGREE = (1, 2, 3), (2, 3), (0, 1, 2, 3, 4, 5)
 POINT = (F(0), F(1, 3), F(-1, 2), F(5, 4), 2, 0.25)
@@ -108,6 +110,10 @@ def objects(qb) -> dict:
             # ctx0's q and alpha at another precision, so the calls also cross one (q, alpha)'s
             # cache store at two precisions
             qb.QContext.from_fourth_root(F(1, 2), F(1, 2), 96),
+            # a rational q with a float alpha, and its float twin: the two share a cache store,
+            # so the twin's exact calls meet the rows the first one warmed
+            qb.QContext(q=F(1, 4), alpha=0.5, float_precision_bits=64),
+            qb.QContext(q=0.25, alpha=0.5, float_precision_bits=64),
         ],
         "series": [qb.TruncatedSeries([1, F(1, 2), F(-1, 3)]), qb.TruncatedSeries([2, 0, 1])],
         "poly": [qb.PolyZ([1, 2, F(1, 3)]), qb.PolyZ([0, 0, 0, 5])],
@@ -254,15 +260,18 @@ def run_on(src: Path, seed: int) -> list:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, __file__, "--seed", str(seed)], env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit("replay on %s failed:\n%s" % (src, done.stderr))
+        print("replay on %s failed:\n%s" % (src, done.stderr), file=sys.stderr)
+        sys.exit(2)  # not 1, which means that calls differ
     return done.stdout.splitlines()
 
 
 def against(rev: str, seed: int) -> int:
-    """Replay on this checkout and on rev; print the first differing lines, and return 1 if any differ."""
+    """Replay on this checkout and on rev; print the first differing lines, and return 1 if any differ
+    (exit 2 if either cannot run)."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
     if archive.returncode != 0:
-        sys.exit("git archive %s failed:\n%s" % (rev, archive.stderr.decode(errors="replace")))
+        print("git archive %s failed:\n%s" % (rev, archive.stderr.decode(errors="replace")), file=sys.stderr)
+        sys.exit(2)
     with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             # the "data" filter, where this Python has it, refuses links and paths out of tmp
