@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -423,6 +424,86 @@ class TestExpand:
         assert result.exit_code == 2
         assert "bad stream file: the file is longer than the cap of %d bytes" % (size - 1) in result.stderr
         assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+class TestParsingRules:
+    """The option scan reads a command line as click did."""
+
+    def test_negative_rationals_are_values(self, tmp_path):
+        result = run("numbers", "--kind", "2", "--q-quarter", "2/3", "--alpha", "-1/2", "--n", "2")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["parameters"]["alpha"] == "-1/2"
+        result = run("asympt", "--kind", "2", "--q-quarter", "1/2", "--z", "-3/7", "--n-max", "2",
+                     "--precision", "64", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["parameters"]["z"] == "-3/7"
+        stream = tmp_path / "stream.json"
+        stream.write_text('{"coefficients": ["1", "2"], "tail": "finite"}')
+        result = run("expand", "--q-quarter", "1/2", "--input", str(stream), "--terms", "2", "--at", "-1/3")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["payload"]["reconstruction"]["at"] == "-1/3"
+
+    def test_attached_value_equals_a_separate_one(self):
+        argv = ("numbers", "--kind", "2", "--q-quarter", "1/2")
+        attached, separate = run(*argv, "--n=5"), run(*argv, "--n", "5")
+        assert attached.exit_code == separate.exit_code == 0
+        assert attached.stdout == separate.stdout
+
+    def test_a_repeated_option_keeps_its_last_value(self):
+        repeated = run("numbers", "--kind", "1", "--q", "1/2", "--kind", "2", "--q-quarter", "1/2",
+                       "--q", "1/4", "--n", "9", "--n", "3", "--q-quarter", "1/2", "--q", "1/3")
+        # the last --q-quarter and the last --q are both given, so the context is rejected
+        assert repeated.exit_code == 2
+        assert "supply exactly one of --q-quarter or --q" in repeated.stderr
+        repeated = run("numbers", "--kind", "1", "--kind", "2", "--q-quarter", "2/3", "--q-quarter", "1/2",
+                       "--n", "9", "--n", "3", "--format", "csv", "--format", "json")
+        assert repeated.exit_code == 0
+        assert repeated.stdout == run("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3").stdout
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--prec", "64"], "Error: No such option '--prec'. Did you mean '--precision'?\n"),
+        (["--bogus"], "Error: No such option '--bogus'.\n"),
+        (["-p", "64"], "Error: No such option '-p'.\n"),
+    ])
+    def test_a_prefix_or_an_unknown_option_exits_2(self, extra, message):
+        result = run("zeros", "--kind", "2", "--q-quarter", "1/2", *extra, prog_name="qbern")
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == "Usage: qbern zeros [OPTIONS]\nTry 'qbern zeros --help' for help.\n\n" + message
+
+    def test_help_comes_before_values_but_after_the_option_scan(self):
+        result = run("poly", "--kind", "9", "--help", prog_name="qbern")
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith("Usage: qbern poly [OPTIONS]\n\n  Polynomial coefficient tables")
+        result = run("zeros", "--kind", "2", "--z", "1", "--help")
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "Error: No such option '--z'. Did you mean '--q'?" in result.stderr
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code, last_line", [
+        (["numbers", "--kind", "1", "--q", "1/4", "--n", "1"], 0, "exit code 3"),
+        (["numbers", "--kind", "1", "--q", "1/4"], 2, "Error: Missing option '--n'."),
+        (["numbers", "--kind", "3", "--q", "2/3", "--n", "5"], 3, "error: exact q**(1/2) needs a rational square root of q=2/3"),
+    ])
+    def test_main_reads_sys_argv_and_exits(self, monkeypatch, capsys, argv, code, last_line):
+        # the qbern console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["qbern"] + argv)
+        with pytest.raises(SystemExit) as exit:
+            main()
+        assert exit.value.code == code
+        out, err = capsys.readouterr()
+        assert err.endswith(last_line + "\n")
+        assert bool(out) == (code == 0)
+
+    def test_an_interrupt_exits_1_with_aborted(self, monkeypatch):
+        from qbernoulli import detrep
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(detrep, "bernoulli_number", interrupted)
+        result = run("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3")
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
 
 class TestGoldenFiles:

@@ -94,3 +94,54 @@ def test_exact_commands_never_load_the_numeric_modules():
     # the control: a numeric command does load them, so the check can see a load
     assert report["zeros"]["code"] is None
     assert {"mpmath", "qbernoulli.asympt"} <= set(report["zeros"]["loaded"])
+
+
+def run_module(*argv, **kwargs):
+    """``python -m qbernoulli.cli argv`` in a fresh interpreter, with src first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *kwargs.pop("flags", ()), "-m", "qbernoulli.cli", *argv],
+                          env=env, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["poly", "--kind", "2", "--q-quarter", "1/2", "--n", "4", "--via", "both"], 0),
+    (["numbers", "--kind", "1", "--q", "1/4", "--n", "5", "--via", "both"], 0),
+    (["numbers", "--kind", "3", "--q", "2/3", "--n", "5"], 3),
+])
+def test_the_command_line_never_loads_click(argv, code):
+    # -X importtime names every module the run imports, on stderr
+    result = run_module(*argv, flags=("-X", "importtime"), capture_output=True)
+    assert result.returncode == code, result.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "qbernoulli" in loaded  # the control: the listing does show this run's imports
+    assert not {name for name in loaded if name == "click" or name.startswith("click.")}
+    if argv == ["--help"]:  # the module itself runs as __main__
+        assert not {name for name in loaded if name.startswith("qbernoulli.")}
+        assert not {"fractions", "csv", "json", "mpmath"} & loaded
+
+
+def test_the_module_run_exits_2_on_usage_and_3_on_domain_errors():
+    result = run_module("poly", "--kind", "1", "--q", "x", "--n", "1", capture_output=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("Usage: python -m qbernoulli.cli poly [OPTIONS]\n"
+                             "Try 'python -m qbernoulli.cli poly --help' for help.\n\n"
+                             "Error: --q must be a rational like 'p/r', got 'x'\n")
+    result = run_module("poly", "--kind", "3", "--q", "1/2", "--n", "2", capture_output=True)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.endswith("\nerror: exact q**(1/2) needs a rational square root of q=1/2\n")
+    assert "Traceback" not in result.stderr
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    # as with `qbern numbers ... | head -1`: the reader is gone before the table is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_module("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3",
+                            stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, "")
