@@ -4,7 +4,7 @@ asymptotic diagnostics, and basis expansions, as JSON or CSV on stdout.
 Exact payload entries are rational strings ("p/r"); approximate entries
 are decimal strings tagged with their binary precision ("...@128b").
 Diagnostics go to stderr; exit codes are 0 on success, 2 on usage errors,
-3 on domain or numeric failures.
+3 on domain or numeric failures, and 1 when stdout refuses the output.
 
 The parser uses the standard library only.  One table of subcommands and
 options (``_COMMANDS``) drives the option scan, the help pages and the usage
@@ -443,10 +443,11 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
           _ROUTE, _JSON_OR_CSV)
 def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
     from . import detrep, series
+    from .qcore import exact_str
 
     ctx = _context(q_quarter, q_value, alpha, precision)
-    rows = _table(n_max, via, lambda n: str(detrep.bernoulli_number(ctx, kind, n)),
-                  lambda n: str(series.oracle_bernoulli(ctx, kind, n).coefficient(0)))
+    rows = _table(n_max, via, lambda n: exact_str(detrep.bernoulli_number(ctx, kind, n)),
+                  lambda n: exact_str(series.oracle_bernoulli(ctx, kind, n).coefficient(0)))
     params = _echo_params(ctx, kind=kind, n=n_max, via=via)
     _emit("numbers", params, fmt, rows, ["n", "det", "oracle", "match"])
 
@@ -478,6 +479,7 @@ def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
           _Option("--format", "fmt", choices=("json", "csv"), default="csv"))
 def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
     from . import asympt as asympt_mod
+    from .qcore import exact_str
 
     ctx = _context(q_quarter, q_value, alpha, precision)
     z = _parse_rational(z, "--z")
@@ -492,7 +494,7 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
     payload = [
         dict(zip(header, [
             row.n,
-            str(row.exact_value),
+            exact_str(row.exact_value),
             _fmt_float(row.float_value, precision),
             _fmt_float(row.leading, precision),
             "indeterminate" if row.flag else _fmt_float(row.abs_ratio_minus_1, precision),
@@ -508,6 +510,7 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
           _Option("--at", "at_point", help="also reconstruct at this rational point"))
 def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_point):
     from . import expand as expand_mod
+    from .qcore import exact_str
     from .qfun import numeric_frame, to_mpf, working_precision
 
     ctx = _context(q_quarter, q_value, alpha, precision)
@@ -518,7 +521,7 @@ def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_poi
             raise ValueError("the file is longer than the cap of %d bytes" % MAX_STREAM_BYTES)
         stream = expand_mod.CoefficientStream.from_json(data.decode("utf-8"))
         ls = expand_mod.l_coefficients(ctx, stream, n_terms)
-        payload = {"l_coefficients": [str(v) for v in ls]}
+        payload = {"l_coefficients": [exact_str(v) for v in ls]}
         if stream.tail_kind == "geometric":
             bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
             with numeric_frame(ctx) as bits, working_precision(bits):
@@ -559,12 +562,12 @@ def main(args=None, prog_name=None, standalone_mode=True, terminal_width=None, *
             raise
         _echo("\nAborted!\n", err=True)
         code = 1
-    except BrokenPipeError:  # the reader of stdout left, as with `qbern ... | head -1`
+    except OSError as exc:  # a write to stdout failed; the commands' own file errors are usage errors
         if not standalone_mode:
             raise
+        code = _write_failed(exc)
         # send what is still buffered nowhere, so the exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
     if not standalone_mode:
         return code
     sys.exit(code or 0)
@@ -574,5 +577,34 @@ def main(args=None, prog_name=None, standalone_mode=True, terminal_width=None, *
 main.main, main.name = main, "main"
 
 
+def _write_failed(exc: OSError) -> int:
+    """Exit code 1 for output stdout refused: silently if its reader left, as
+    with `qbern ... | head -1`, else after one line on stderr, as for a full disk."""
+    if not isinstance(exc, BrokenPipeError):
+        _echo("error: cannot write the output: %s\n" % exc, err=True)
+    return 1
+
+
+def run():
+    """The process entry point of ``qbern`` and ``python -m qbernoulli.cli``.
+
+    Runs ``main()``, flushes stdout and stderr, and leaves through
+    ``os._exit`` with main's exit code: the output is complete by then, and
+    the interpreter's teardown (its last garbage collections and the clearing
+    of every module) would only delay the exit.  An exception other than
+    SystemExit propagates, so it prints its traceback and exits 1 the usual
+    way.  In-process callers use ``main``, which returns or raises SystemExit."""
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _write_failed(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -3,8 +3,8 @@
 All exact computation runs over arbitrary-precision rationals
 (``fractions.Fraction``, aliased ``ExactScalar``).  Rationals are always
 normalized (lowest terms, positive denominator) and serialize as the
-string ``"p/r"`` (or ``"p"`` for integers) via ``str()``; parse them back
-with ``Fraction(s)``.
+string ``"p/r"`` (or ``"p"`` for integers) via :func:`exact_str`, which is
+``str()`` at any size; parse them back with ``Fraction(s)``.
 
 A :class:`QContext` carries the base ``q`` together with whichever of its
 roots ``q**(1/2)`` and ``q**(1/4)`` are themselves rational (it derives
@@ -80,6 +80,21 @@ def rational_root(x: Fraction, k: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+def exact_str(x) -> str:
+    """``str(x)`` of an exact int or Fraction, ``"p/r"`` or ``"p"``, at any size.
+    ``str`` refuses an integer of more decimal digits than the interpreter's
+    limit (``sys.get_int_max_str_digits()``, 4300 by default); such parts are
+    written through ``decimal``, which has no such limit, and the limit is
+    left as it is."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+
+    num, den = (str(Decimal(part)) for part in (x.numerator, x.denominator))
+    return num if den == "1" else "%s/%s" % (num, den)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qcore import (
-    QBernError, QContext, cached_row, check_degree, check_kind, dot, q_factorials, require_exact_alpha,
-    scaled_products,
+    QBernError, QContext, cached_row, check_degree, check_kind, dot, exact_str, q_factorials,
+    require_exact_alpha, scaled_products,
 )
 
 
@@ -126,7 +126,7 @@ class PolyZ:
         """Serialize as rational strings, index = power of z; zero -> ["0"]."""
         if not self.coeffs:
             return ["0"]
-        return [str(c) for c in self.coeffs]
+        return [exact_str(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items) -> "PolyZ":

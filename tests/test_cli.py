@@ -2,8 +2,10 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qbernoulli import CoefficientStream, PolyZ, QContext, bernoulli_poly_det, qfun
+from qbernoulli import CoefficientStream, PolyZ, QContext, bernoulli_number, bernoulli_poly_det, cli, qfun
 from qbernoulli.cli import _fmt_float, main
 
 DATA = Path(__file__).parent / "data"
@@ -504,6 +506,81 @@ class TestEntryPoint:
         monkeypatch.setattr(detrep, "bernoulli_number", interrupted)
         result = run("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3")
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+
+class TestRun:
+    """``run``, the process entry point: main, a flush of both streams, then os._exit."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        return codes
+
+    @pytest.mark.parametrize("argv, code", [
+        (["numbers", "--kind", "1", "--q", "1/4", "--n", "1"], 0),
+        (["numbers", "--kind", "1", "--q", "1/4"], 2),
+        (["numbers", "--kind", "3", "--q", "2/3", "--n", "5"], 3),
+    ])
+    def test_main_s_exit_code_reaches_the_exit(self, capsys, monkeypatch, exits, argv, code):
+        monkeypatch.setattr(sys, "argv", ["qbern"] + argv)
+        cli.run()
+        assert exits == [code]
+        assert bool(capsys.readouterr().out) == (code == 0)
+
+    def test_stdout_is_flushed_before_the_exit(self, monkeypatch):
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))  # holds writes until a flush
+
+        def unflushed_main():
+            sys.stdout.write("last line\n")
+            sys.exit(0)
+
+        monkeypatch.setattr(cli, "main", unflushed_main)
+        exits = []
+        monkeypatch.setattr(os, "_exit", lambda code: exits.append((code, raw.getvalue())))
+        cli.run()
+        assert exits == [(0, b"last line\n")]
+
+    @pytest.mark.parametrize("error, stderr", [
+        (BrokenPipeError(32, "Broken pipe"), ""),
+        (OSError(28, "No space left on device"), "error: cannot write the output: [Errno 28] No space left on device\n"),
+    ])
+    def test_a_failed_final_flush_exits_1(self, monkeypatch, exits, error, stderr):
+        class Refusing(io.StringIO):
+            def flush(self):
+                raise error
+
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", Refusing())
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(cli, "main", lambda: sys.exit(0))
+        cli.run()
+        assert (exits, err.getvalue()) == ([1], stderr)
+
+    def test_an_error_escaping_main_propagates_without_the_exit(self, monkeypatch, exits):
+        def failing_main():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "main", failing_main)
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.run()
+        assert exits == []
+
+
+class TestLargeExactValues:
+    def test_a_table_past_the_int_string_limit(self):
+        # str() of an int of more than 4300 digits raises ValueError by default
+        result = run("numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "90")
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.stdout)["payload"]
+        assert [row["n"] for row in rows] == list(range(91))
+        assert max(len(row["det"]) for row in rows) > 2 * 4300  # the control: past the limit
+        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))
+        for row in rows:
+            # parsed through decimal, which has no digit limit
+            value = Fraction(*(int(Decimal(part)) for part in row["det"].split("/")))
+            assert value == bernoulli_number(ctx, 2, row["n"]), row["n"]
 
 
 class TestGoldenFiles:

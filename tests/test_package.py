@@ -13,10 +13,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import qbernoulli
+from qbernoulli.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 # the package's exports, by defining module
 EXPORTS = {
@@ -101,7 +104,7 @@ def run_module(*argv, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, *kwargs.pop("flags", ()), "-m", "qbernoulli.cli", *argv],
-                          env=env, text=True, timeout=120, **kwargs)
+                          env=env, timeout=120, **{"text": True, **kwargs})
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -145,3 +148,47 @@ def test_a_closed_stdout_exits_1_quietly():
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (1, "")
+
+
+@pytest.fixture
+def buffered(monkeypatch):
+    """stdout buffered as a pipe's is by default, so a write the process does not
+    flush before it exits is lost."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["numbers", "--kind", "2", "--q-quarter", "1/2", "--n", "3"],
+])
+def test_a_full_stdout_exits_1_with_one_error_line(buffered, argv):
+    with open("/dev/full", "w") as full:
+        result = run_module(*argv, stdout=full, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr) == (
+        1, "error: cannot write the output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["poly", "--kind", "1", "--q", "1/4", "--alpha", "1/2", "--n", "6", "--via", "both"],
+     "golden_poly_k1_q14.json"),
+    (["numbers", "--kind", "1", "--q", "1/4", "--alpha", "1/2", "--n", "6", "--via", "both"],
+     "golden_numbers_k1_q14.json"),
+    (["poly", "--kind", "1", "--q-quarter", "1/2", "--alpha", "1/2", "--n", "4", "--format", "csv"],
+     "golden_poly_k1_b12.csv"),
+])
+def test_the_module_run_writes_the_golden_files(buffered, argv, golden):
+    result = run_module(*argv, capture_output=True, text=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (DATA / golden).read_bytes()
+
+
+def test_an_output_larger_than_a_pipe_buffer_arrives_whole(buffered):
+    # 3.4 MB, more than a pipe holds at once: all of it must reach the reader before the exit
+    argv = ["poly", "--kind", "2", "--q-quarter", "1/2", "--n", "60", "--via", "both"]
+    result = run_module(*argv, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    expected = CliRunner().invoke(main, argv)
+    assert expected.exit_code == 0
+    assert len(expected.stdout) > 1 << 20
+    assert result.stdout == expected.stdout

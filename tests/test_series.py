@@ -63,6 +63,16 @@ class TestPolyZ:
         assert PolyZ.from_strings(p.to_strings()) == p
         assert PolyZ().to_strings() == ["0"]
 
+    def test_strings_past_the_int_string_limit(self):
+        # str() of an int of more than 4300 digits raises ValueError by default
+        big = 10**5000 + 1
+        p = PolyZ([Fraction(-big, 3), Fraction(1, big), 7])
+        assert p.to_strings() == ["-1%s1/3" % ("0" * 4999), "1/1%s1" % ("0" * 4999), "7"]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        p.to_strings()
+        assert limit() == before
+
     def test_immutable(self):
         p = PolyZ([Fraction(-1, 2), 1])
         before = hash(p)
