@@ -24,14 +24,13 @@ and at c, and pref = 4 times the zero scale: 2/(1-q) for kind 2 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import mpmath
 from mpmath import mpf
 
-from .qcore import DomainError, QBernError, QContext, cached, check_degree, check_kind, q_factorial, rational
+from .qcore import DomainError, QBernError, QContext, Record, cached, check_degree, check_kind, q_factorial, rational
 from .detrep import bernoulli_poly_det
 from .qfun import (
     GUARD_BITS,
@@ -48,24 +47,23 @@ from .qfun import (
 _KIND1_CAP = "1.95"  # kind 1's term ratio tends to (z/2)^2, certified only below 0.97
 
 
-@dataclass(frozen=True)
-class ZeroResult:
+class ZeroResult(Record):
     """A located zero: where it is, a sign-change bracket, and how small
     the defining function is at the reported location."""
 
-    location: mpf
-    certified_interval: tuple
-    residual: mpf
+    __slots__ = _fields = ("location", "certified_interval", "residual")
+
+    def __init__(self, location: mpf, certified_interval: tuple, residual: mpf):
+        self._fill(location, certified_interval, residual)
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
+class AsymptoticTerm(Record):
     """One leading-term value together with the factors that built it."""
 
-    value: mpf
-    parity: str
-    n: int
-    components: dict
+    __slots__ = _fields = ("value", "parity", "n", "components")
+
+    def __init__(self, value: mpf, parity: str, n: int, components: dict):
+        self._fill(value, parity, n, components)
 
 
 def _certified_value(evaluate, x, precision):
@@ -254,20 +252,17 @@ def bessel_derivative_at(ctx: QContext, kind: int, x) -> mpf:
 _TRIG_PAIR = {2: (QTrigKind.Cos_q, QTrigKind.Sin_q), 3: (QTrigKind.C_q, QTrigKind.S_q)}
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(Record):
     """Per-(q, alpha, kind) leading-term data: the scaled singularity
     constant and its location uncertainty, the family prefactor, the Bessel
     derivative there, and the trig pair at the constant with series bounds."""
 
-    constant: mpf
-    constant_width: mpf
-    prefactor: mpf
-    derivative: mpf
-    cos_at_c: mpf
-    cos_bound: mpf
-    sin_at_c: mpf
-    sin_bound: mpf
+    __slots__ = _fields = ("constant", "constant_width", "prefactor", "derivative",
+                           "cos_at_c", "cos_bound", "sin_at_c", "sin_bound")
+
+    def __init__(self, constant: mpf, constant_width: mpf, prefactor: mpf, derivative: mpf,
+                 cos_at_c: mpf, cos_bound: mpf, sin_at_c: mpf, sin_bound: mpf):
+        self._fill(constant, constant_width, prefactor, derivative, cos_at_c, cos_bound, sin_at_c, sin_bound)
 
 
 @cached
@@ -357,16 +352,14 @@ def leading_term(ctx: QContext, kind: int, n: int, z) -> AsymptoticTerm:
         return AsymptoticTerm(value=value, parity=parity, n=n, components=components)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(Record):
     """One diagnostic row: exact polynomial value against its leading term."""
 
-    n: int
-    exact_value: Fraction
-    float_value: mpf
-    leading: mpf
-    abs_ratio_minus_1: mpf | None
-    flag: str | None = None
+    __slots__ = _fields = ("n", "exact_value", "float_value", "leading", "abs_ratio_minus_1", "flag")
+
+    def __init__(self, n: int, exact_value: Fraction, float_value: mpf, leading: mpf,
+                 abs_ratio_minus_1: mpf | None, flag: str | None = None):
+        self._fill(n, exact_value, float_value, leading, abs_ratio_minus_1, flag)
 
 
 def ratio_diagnostic(ctx: QContext, kind: int, z, n_list) -> list[RatioRow]:

@@ -32,9 +32,16 @@ class UsageError(Exception):
 
 
 def _echo(text: str, err: bool = False) -> None:
+    """Write text to stdout, or to stderr with err.  A refused stdout raises
+    OSError, which ``main`` reports; a refused stderr is let pass, so that a
+    diagnostic no one can read never costs the result or its exit code."""
     stream = sys.stderr if err else sys.stdout  # read per call: a test runner swaps the streams
-    stream.write(text)
-    stream.flush()
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        if not err:
+            raise
 
 
 def _parse_rational(text: str, label: str):
@@ -602,7 +609,10 @@ def run():
         sys.stdout.flush()
     except OSError as exc:
         code = _write_failed(exc)
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:  # a diagnostic stderr refused changes no exit code, as in _echo
+        pass
     os._exit(code)
 
 

@@ -20,20 +20,18 @@ sum L_n B_n / [n]_q! is exact, read off the cached number row once; reconstruct 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
-from .qcore import QBernError, QContext, check_degree, dot, q_pochhammer, rational
+from .qcore import QBernError, QContext, Record, check_degree, dot, exact_str, parse_exact, q_pochhammer, rational
 from .detrep import _moments, _numbers
 from .qfun import numeric_frame, to_mpf
 from .series import PolyZ, _exp_row
 
 
-@dataclass(frozen=True)
-class CoefficientStream:
+class CoefficientStream(Record):
     """Exact coefficients f_0..f_M with a declared tail policy.
 
     "finite" promises every coefficient beyond M is zero.  A geometric
@@ -42,23 +40,19 @@ class CoefficientStream:
     geometrically; that is the decay the expansion theory runs on.
     """
 
-    coefficients: tuple
-    tail_kind: str = "finite"
-    tail_ratio: Fraction | None = None
+    __slots__ = _fields = ("coefficients", "tail_kind", "tail_ratio")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-        if self.tail_kind not in ("finite", "geometric"):
-            raise ValueError("a stream's tail is 'finite' or 'geometric', got tail_kind=%r" % (self.tail_kind,))
-        if self.tail_kind == "geometric":
-            if self.tail_ratio is None:
+    def __init__(self, coefficients: tuple, tail_kind: str = "finite", tail_ratio: Fraction | None = None):
+        coefficients = tuple(Fraction(c) for c in coefficients)
+        if tail_kind not in ("finite", "geometric"):
+            raise ValueError("a stream's tail is 'finite' or 'geometric', got tail_kind=%r" % (tail_kind,))
+        if tail_kind == "geometric":
+            if tail_ratio is None:
                 raise ValueError("a geometric tail needs a ratio")
-            ratio = Fraction(self.tail_ratio)
-            if ratio < 0:
+            tail_ratio = Fraction(tail_ratio)
+            if tail_ratio < 0:
                 raise ValueError("a geometric tail needs a nonnegative ratio")
-            object.__setattr__(self, "tail_ratio", ratio)
+        self._fill(coefficients, tail_kind, tail_ratio)
 
     @property
     def last_index(self) -> int:
@@ -91,9 +85,9 @@ class CoefficientStream:
         raise ValueError("field 'tail' must be 'finite' or {'geometric': 'ratio'}")
 
     def to_json(self) -> str:
-        tail = "finite" if self.tail_kind == "finite" else {"geometric": str(self.tail_ratio)}
+        tail = "finite" if self.tail_kind == "finite" else {"geometric": exact_str(self.tail_ratio)}
         return json.dumps(
-            {"coefficients": [str(c) for c in self.coefficients], "tail": tail}
+            {"coefficients": [exact_str(c) for c in self.coefficients], "tail": tail}
         )
 
     def as_polynomial(self) -> PolyZ:
@@ -106,7 +100,7 @@ def _rational(value, field: str) -> Fraction:
     """A JSON string or integer holding an exact rational, else ValueError."""
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            return parse_exact(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError("field '%s' must be a rational like 'p/r', got %r" % (field, value))
@@ -137,16 +131,15 @@ def tau_estimate(ctx: QContext, stream: CoefficientStream, window) -> mpf:
         return +best
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
+class GrowthVerdict(Record):
     """Smallest K with |f_n| <= K q^((n-gamma)^2 / (2k)) over the stream,
     plus the advisory conclusion that bound licenses."""
 
-    min_K: mpf
-    order: Fraction
-    type_gamma: Fraction
-    advisory: str
-    tau_bound: mpf | None = None
+    __slots__ = _fields = ("min_K", "order", "type_gamma", "advisory", "tau_bound")
+
+    def __init__(self, min_K: mpf, order: Fraction, type_gamma: Fraction, advisory: str,
+                 tau_bound: mpf | None = None):
+        self._fill(min_K, order, type_gamma, advisory, tau_bound)
 
 
 def growth_classify(ctx: QContext, stream: CoefficientStream, k, gamma) -> GrowthVerdict:

@@ -4,7 +4,9 @@ All exact computation runs over arbitrary-precision rationals
 (``fractions.Fraction``, aliased ``ExactScalar``).  Rationals are always
 normalized (lowest terms, positive denominator) and serialize as the
 string ``"p/r"`` (or ``"p"`` for integers) via :func:`exact_str`, which is
-``str()`` at any size; parse them back with ``Fraction(s)``.
+``str()`` at any size; parse them back with :func:`parse_exact`, which is
+``Fraction(s)`` at any size.  Contexts and results are immutable
+:class:`Record` instances: slotted classes with value equality and hashing.
 
 A :class:`QContext` carries the base ``q`` together with whichever of its
 roots ``q**(1/2)`` and ``q**(1/4)`` are themselves rational (it derives
@@ -39,8 +41,8 @@ budget need attach at those two decorators alone.
 from __future__ import annotations
 
 import math
+import re
 import threading
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial, wraps
 from numbers import Rational
@@ -97,8 +99,71 @@ def exact_str(x) -> str:
     return num if den == "1" else "%s/%s" % (num, den)
 
 
-@dataclass(frozen=True)
-class QContext:
+def parse_exact(text) -> Fraction:
+    """``Fraction(text)``, and also the ``"p"`` or ``"p/r"`` strings of :func:`exact_str`
+    that ``Fraction`` refuses for their size alone: those are read part by part
+    through ``decimal``.  What ``Fraction`` accepts or refuses otherwise is unchanged."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text) if isinstance(text, str) else None
+        if match is None:
+            raise
+    from decimal import Decimal
+
+    num, den = match.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
+class Record:
+    """Base of the library's immutable records: the context and the results of
+    the zero, asymptotic and expansion routines.
+
+    A subclass lists its slots, names in ``_fields`` the arguments its
+    ``__init__`` takes and in ``_derived`` the slots ``__init__`` derives from
+    them, and fills its slots through :meth:`_fill`.  Records of one class are
+    equal when their ``_fields`` tuples are, and hash as that tuple; repr prints
+    ``_fields`` then ``_derived``; copy and pickle rebuild through ``__init__``.
+    These are the semantics of the standard library's generated frozen record
+    classes, written out here because that generator imports ``inspect`` and
+    so costs every ``qbern`` process several milliseconds at start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _derived: tuple = ()
+
+    def _fill(self, *values):
+        """Set the slots, in their order, to values."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable %s" % (name, type(self).__name__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self._fields + self._derived)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(shown))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class QContext(Record):
     """Parameter pack shared by every operation.
 
     ``q`` is the base (numeric work requires ``0 < q < 1``), ``alpha`` the
@@ -115,28 +180,22 @@ class QContext:
     type-1/type-2 families; such a context supports exact arithmetic only.
     """
 
-    q: Fraction
-    alpha: Fraction
-    float_precision_bits: int = 128
-    sqrt_q: Fraction | None = field(init=False, compare=False)
-    fourth_root_q: Fraction | None = field(init=False, compare=False)
+    __slots__ = ("q", "alpha", "float_precision_bits", "sqrt_q", "fourth_root_q", "store_key")
+    _fields = ("q", "alpha", "float_precision_bits")
+    _derived = ("sqrt_q", "fourth_root_q")
 
-    def __post_init__(self):
-        for name in ("q", "alpha"):
-            value = getattr(self, name)
-            if type(value) is not Fraction and isinstance(value, Rational):
-                object.__setattr__(self, name, Fraction(value))
-        if self.q <= 0 or self.q == 1:
+    def __init__(self, q: Fraction, alpha: Fraction, float_precision_bits: int = 128):
+        q, alpha = (Fraction(x) if type(x) is not Fraction and isinstance(x, Rational) else x for x in (q, alpha))
+        if q <= 0 or q == 1:
             raise ValueError("base q must be positive and != 1")
-        if self.alpha <= -1:
+        if alpha <= -1:
             raise ValueError("alpha must be > -1")
-        if type(self.float_precision_bits) is not int or self.float_precision_bits < 1:
-            raise ValueError("float_precision_bits must be a positive integer, got %r" % (self.float_precision_bits,))
-        object.__setattr__(self, "sqrt_q", rational_root(self.q, 2))
-        object.__setattr__(self, "fourth_root_q", rational_root(self.q, 4))
-        q, a = self.q, self.alpha  # the store's key holds ints: a Fraction's hash computes a modular inverse
-        key = (q.numerator, q.denominator, a.numerator, a.denominator) if type(q) is type(a) is Fraction else (q, a)
-        object.__setattr__(self, "store_key", key)
+        if type(float_precision_bits) is not int or float_precision_bits < 1:
+            raise ValueError("float_precision_bits must be a positive integer, got %r" % (float_precision_bits,))
+        key = (q, alpha)  # the store's key holds ints: a Fraction's hash computes a modular inverse
+        if type(q) is type(alpha) is Fraction:
+            key = (q.numerator, q.denominator, alpha.numerator, alpha.denominator)
+        self._fill(q, alpha, float_precision_bits, rational_root(q, 2), rational_root(q, 4), key)
 
     @classmethod
     def from_fourth_root(cls, b, alpha, float_precision_bits: int = 128) -> "QContext":
@@ -154,10 +213,10 @@ class QContext:
 
     def reciprocal_base(self) -> "QContext":
         """Context with q replaced by 1/q (exact arithmetic only)."""
-        return replace(self, q=1 / self.q)
+        return QContext(1 / self.q, self.alpha, self.float_precision_bits)
 
     def with_alpha(self, alpha) -> "QContext":
-        return replace(self, alpha=Fraction(alpha))
+        return QContext(self.q, Fraction(alpha), self.float_precision_bits)
 
     @property
     def exact_alpha(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qcore import (
-    QBernError, QContext, cached_row, check_degree, check_kind, dot, exact_str, q_factorials,
+    QBernError, QContext, cached_row, check_degree, check_kind, dot, exact_str, parse_exact, q_factorials,
     require_exact_alpha, scaled_products,
 )
 
@@ -130,7 +130,7 @@ class PolyZ:
 
     @classmethod
     def from_strings(cls, items) -> "PolyZ":
-        return cls([Fraction(s) for s in items])
+        return cls([parse_exact(s) for s in items])
 
     def __repr__(self):
         return "PolyZ(%s)" % (list(self.coeffs),)

@@ -14,8 +14,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qbernoulli import CoefficientStream, PolyZ, QContext, bernoulli_number, bernoulli_poly_det, cli, qfun
+from qbernoulli import (
+    CoefficientStream, PolyZ, QContext, bernoulli_number, bernoulli_poly_det, cli, l_coefficients, qfun,
+)
 from qbernoulli.cli import _fmt_float, main
+from qbernoulli.qcore import parse_exact
 
 DATA = Path(__file__).parent / "data"
 
@@ -581,6 +584,17 @@ class TestLargeExactValues:
             # parsed through decimal, which has no digit limit
             value = Fraction(*(int(Decimal(part)) for part in row["det"].split("/")))
             assert value == bernoulli_number(ctx, 2, row["n"]), row["n"]
+
+    def test_a_stream_past_the_int_string_limit(self, tmp_path):
+        stream = CoefficientStream.finite([Fraction(10**5000 + 1, 3), 1])
+        path = tmp_path / "big.json"
+        path.write_text(stream.to_json())
+        result = run("expand", "--q-quarter", "1/2", "--input", str(path), "--terms", "2", "--at", "1/3")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)["payload"]
+        ctx = QContext.from_fourth_root(Fraction(1, 2), Fraction(1, 2))
+        assert [parse_exact(v) for v in payload["l_coefficients"]] == l_coefficients(ctx, stream, 2)
+        assert payload["reconstruction"]["exact_identity"] is True
 
 
 class TestGoldenFiles:

@@ -9,7 +9,6 @@ spins fails the test instead of hanging it.  The call table is the one
 ``tools/replay.py`` replays.
 """
 
-import dataclasses
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -97,7 +96,7 @@ def test_precisions_past_the_cap_are_refused_at_once(bits, name, data):
     """A context's precision past the cap, or an explicit one, raises DomainError naming both
     before any series is summed; exact work on that context is served as before."""
     ctx = POOLS["ctx"][0]
-    past = dataclasses.replace(ctx, float_precision_bits=bits)
+    past = QContext(ctx.q, ctx.alpha, bits)
     args = [past]
     for pool in replay.SIGNATURES[name][1:]:
         args.append(data.draw(st.sampled_from(POOLS[pool] if isinstance(pool, str) else pool)))

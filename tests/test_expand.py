@@ -97,6 +97,15 @@ class TestStream:
         again = CoefficientStream.from_json(stream.to_json())
         assert again == stream
 
+    def test_json_round_trip_past_the_int_string_limit(self):
+        # str() and Fraction() of an int of more than 4300 digits raise ValueError by default
+        big = 10**5000 + 1
+        for stream in (CoefficientStream.finite([Fraction(big, 3), 1]),
+                       CoefficientStream([1, Fraction(-1, big)], "geometric", Fraction(big, big + 2))):
+            text = stream.to_json()
+            assert "1" + "0" * 4999 + "1" in text
+            assert CoefficientStream.from_json(text) == stream
+
     def test_finite_json(self):
         stream = CoefficientStream.from_json('{"coefficients": ["0", "1"], "tail": "finite"}')
         assert stream.tail_kind == "finite"

@@ -84,10 +84,14 @@ def test_unknown_names_and_submodules():
     assert asympt is sys.modules["qbernoulli.asympt"]
 
 
-def test_exact_commands_never_load_the_numeric_modules():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env() -> dict:
+    """This process's environment with src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    result = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT], env=env,
+
+
+def test_exact_commands_never_load_the_numeric_modules():
+    result = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT], env=src_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(result.stdout)
     assert report["import"] == []
@@ -101,10 +105,8 @@ def test_exact_commands_never_load_the_numeric_modules():
 
 def run_module(*argv, **kwargs):
     """``python -m qbernoulli.cli argv`` in a fresh interpreter, with src first on the path."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, *kwargs.pop("flags", ()), "-m", "qbernoulli.cli", *argv],
-                          env=env, timeout=120, **{"text": True, **kwargs})
+                          env=src_env(), timeout=120, **{"text": True, **kwargs})
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -124,6 +126,29 @@ def test_the_command_line_never_loads_click(argv, code):
     if argv == ["--help"]:  # the module itself runs as __main__
         assert not {name for name in loaded if name.startswith("qbernoulli.")}
         assert not {"fractions", "csv", "json", "mpmath"} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--kind", "2", "--q-quarter", "1/2", "--n", "4", "--via", "both"],
+    ["numbers", "--kind", "1", "--q", "1/4", "--n", "5", "--via", "both"],
+    ["zeros", "--kind", "2", "--q-quarter", "1/2", "--precision", "64"],
+    ["asympt", "--kind", "2", "--q-quarter", "1/2", "--n-max", "3"],
+    ["expand", "--q-quarter", "1/2", "--terms", "3", "--at", "1/3", "--input"],
+    ["-c", "import qbernoulli.asympt, qbernoulli.expand"],
+], ids=["poly", "numbers", "zeros", "asympt", "expand", "import"])
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    # the records are qcore.Record classes; dataclasses would import inspect, ast, dis and tokenize
+    if argv[0] == "expand":
+        argv = argv + [str(tmp_path / "stream.json")]
+        (tmp_path / "stream.json").write_text('{"coefficients": ["1", "-1/2", "1/3"], "tail": "finite"}')
+    command = argv if argv[0] == "-c" else ["-m", "qbernoulli.cli", *argv]
+    result = subprocess.run([sys.executable, "-X", "importtime", *command], env=src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "fractions" in loaded  # the control: the listing does show the library's imports
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_the_module_run_exits_2_on_usage_and_3_on_domain_errors():
@@ -167,6 +192,19 @@ def test_a_full_stdout_exits_1_with_one_error_line(buffered, argv):
         result = run_module(*argv, stdout=full, stderr=subprocess.PIPE)
     assert (result.returncode, result.stderr) == (
         1, "error: cannot write the output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["asympt", "--kind", "2", "--q-quarter", "1/2", "--n-max", "3"],  # its trend line precedes the table
+    ["numbers", "--kind", "2", "--q", "1/4", "--n", "3"],  # no rational q^(1/4): a warning first
+])
+def test_a_full_stderr_costs_no_output(buffered, argv):
+    working = run_module(*argv, capture_output=True)
+    assert working.returncode == 0 and working.stderr and working.stdout  # the control
+    with open("/dev/full", "w") as full:
+        result = run_module(*argv, stdout=subprocess.PIPE, stderr=full)
+    assert (result.returncode, result.stdout) == (0, working.stdout)
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -25,7 +25,9 @@ from qbernoulli import (
     q_int,
     q_pochhammer,
 )
-from qbernoulli.qcore import CACHED_CONTEXTS, _contexts, context_cache, dot, q_factorials, scaled_products
+from qbernoulli.qcore import (
+    CACHED_CONTEXTS, _contexts, context_cache, dot, exact_str, parse_exact, q_factorials, scaled_products,
+)
 
 
 def ctx_q(q, alpha="1/2"):
@@ -220,6 +222,33 @@ class TestQContext:
         strings = [str(v) for v in values]
         assert strings == ["-1/2", "3", "21/8", "0"]
         assert [Fraction(s) for s in strings] == values
+
+    @pytest.mark.parametrize("text", [
+        "-1/2", " 21/8\n", "+3", "0", "1.25", "1e-3", "1_000/3", "٣/4", 7, Fraction(1, 3), "1/0",
+        "1/", "/2", "1/-2", "--1", "1 /2", "x", "", "nan", 1.5, float("inf"), None, [1],
+    ])
+    def test_parse_exact_is_fraction_below_the_int_string_limit(self, text):
+        try:
+            expected = Fraction(text)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                parse_exact(text)
+        else:
+            assert parse_exact(text) == expected
+
+    def test_parse_exact_past_the_int_string_limit(self):
+        # Fraction() of a string of more than 4300 digits raises ValueError by default
+        big = 10**5000 + 1
+        digits = "1" + "0" * 4999 + "1"
+        for value in (Fraction(big, 3), Fraction(-3, big), Fraction(-big)):
+            assert parse_exact(exact_str(value)) == value
+        assert parse_exact(" +%s/7\n" % digits) == Fraction(big, 7)
+        for bad in (digits + "x", digits + ".5", digits + "/-3", digits + "/", "1/" + digits + "/3",
+                    "--" + digits, digits + "e3"):
+            with pytest.raises(ValueError):
+                parse_exact(bad)
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_exact(digits + "/0")
 
     def test_equal_contexts_share_hash_and_cache_entry(self):
         pairs = [

@@ -68,6 +68,7 @@ class TestPolyZ:
         big = 10**5000 + 1
         p = PolyZ([Fraction(-big, 3), Fraction(1, big), 7])
         assert p.to_strings() == ["-1%s1/3" % ("0" * 4999), "1/1%s1" % ("0" * 4999), "7"]
+        assert PolyZ.from_strings(p.to_strings()) == p
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)
         before = limit()
         p.to_strings()

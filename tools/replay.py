@@ -155,8 +155,14 @@ def canonical(value) -> str:
         return str(value)
     if hasattr(value, "_mpf_"):
         return "mpf%r" % (value._mpf_,)
-    if dataclasses.is_dataclass(value):
-        fields = ("%s=%s" % (f.name, canonical(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if dataclasses.is_dataclass(value):  # a record of a revision older than qcore.Record
+        names = [f.name for f in dataclasses.fields(value)]
+    elif hasattr(value, "_fields") and hasattr(value, "_derived"):  # a qcore.Record, printed as one
+        names = value._fields + value._derived
+    else:
+        names = None
+    if names is not None:
+        fields = ("%s=%s" % (name, canonical(getattr(value, name))) for name in names)
         return "%s(%s)" % (type(value).__name__, ", ".join(fields))
     if hasattr(value, "coeffs"):  # PolyZ and TruncatedSeries
         return "%s%s" % (type(value).__name__, canonical(value.coeffs))
