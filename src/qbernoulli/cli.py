@@ -45,16 +45,17 @@ def _echo(text: str, err: bool = False) -> None:
 
 
 def _parse_rational(text: str, label: str):
-    from fractions import Fraction
+    from .qcore import parse_exact
 
     try:
-        return Fraction(text)
+        return parse_exact(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("%s must be a rational like 'p/r', got %r" % (label, text))
 
 
-def _context(q_quarter, q_value, alpha, precision):
-    from .qcore import QContext
+def _context(alpha, q_quarter, q_value, precision):
+    """The QContext of the options every subcommand shares."""
+    from .qcore import QContext, exact_str
 
     if (q_quarter is None) == (q_value is None):
         raise UsageError("supply exactly one of --q-quarter or --q")
@@ -64,13 +65,14 @@ def _context(q_quarter, q_value, alpha, precision):
             return QContext.from_fourth_root(
                 _parse_rational(q_quarter, "--q-quarter"), alpha, precision
             )
-        ctx = QContext.from_q(_parse_rational(q_value, "--q"), alpha, precision)
+        q = _parse_rational(q_value, "--q")
+        ctx = QContext.from_q(q, alpha, precision)
     except ValueError as exc:
         raise UsageError(str(exc))
     if ctx.fourth_root_q is None:
         _echo(
             "warning: q^(1/4) of q=%s is irrational; exact operations needing it"
-            " fail with exit code 3\n" % ctx.q,
+            " fail with exit code 3\n" % exact_str(q),
             err=True,
         )
     return ctx
@@ -90,12 +92,18 @@ def _cell(value):
     return str(value).lower() if isinstance(value, bool) else value
 
 
-def _emit(command: str, params: dict, fmt: str, payload, header, rows=None):
-    """Every subcommand's one output: the JSON record of its payload, or the CSV
-    table with header, whose rows default to the payload's fields in header order."""
+def _emit(command: str, ctx, params: dict, fmt: str, payload, header, rows=None):
+    """Every subcommand's one output: the JSON record of its payload, whose
+    parameters are those of ctx followed by params, or the CSV table with
+    header, whose rows default to the payload's fields in header order."""
     if fmt == "json":
         import json
 
+        from .qcore import exact_str
+
+        q, root, alpha = (None if x is None else exact_str(x) for x in (ctx.q, ctx.fourth_root_q, ctx.alpha))
+        params = {"q": q, "q_quarter": root, "alpha": alpha, "precision_bits": ctx.float_precision_bits,
+                  **params}
         record = {"command": command, "parameters": params, "format": fmt, "payload": payload}
         _echo(json.dumps(record, indent=2) + "\n")
         return
@@ -109,17 +117,6 @@ def _emit(command: str, params: dict, fmt: str, payload, header, rows=None):
     writer.writerow(header)
     writer.writerows(rows)
     _echo(buffer.getvalue())
-
-
-def _echo_params(ctx, **extra) -> dict:
-    params = {
-        "q": str(ctx.q),
-        "q_quarter": None if ctx.fourth_root_q is None else str(ctx.fourth_root_q),
-        "alpha": str(ctx.alpha),
-        "precision_bits": ctx.float_precision_bits,
-    }
-    params.update(extra)
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +360,9 @@ class _Run:
             raise UsageError("Got unexpected extra argument%s (%s)" % ("s" * (len(rest) > 1), " ".join(rest)))
         from .qcore import QBernError
 
+        shared = {option.dest: params.pop(option.dest) for option in _COMMON}
         try:
-            return function(**params)
+            return function(_context(**shared), **params)
         except QBernError as exc:  # the one error boundary for library errors
             _echo("error: %s\n" % exc, err=True)
             return EXIT_DOMAIN
@@ -428,10 +426,9 @@ _JSON_OR_CSV = _Option("--format", "fmt", choices=("json", "csv"), default="json
           _Option("--kind", bounds=(1, 3), required=True),
           _Option("--n", "n_max", bounds=(0, None), required=True, help="largest degree"),
           _ROUTE, _JSON_OR_CSV)
-def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
+def cmd_poly(ctx, kind, n_max, via, fmt):
     from . import detrep, series
 
-    ctx = _context(q_quarter, q_value, alpha, precision)
     rows = _table(n_max, via, lambda n: detrep.bernoulli_poly_det(ctx, kind, n).to_strings(),
                   lambda n: series.oracle_bernoulli(ctx, kind, n).to_strings())
     header = ["n", "source"] + ["z^%d" % j for j in range(n_max + 1)] + ["match"]
@@ -441,30 +438,27 @@ def cmd_poly(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
         for source in ("det", "oracle")
         if source in row
     )
-    _emit("poly", _echo_params(ctx, kind=kind, n=n_max, via=via), fmt, rows, header, flat)
+    _emit("poly", ctx, {"kind": kind, "n": n_max, "via": via}, fmt, rows, header, flat)
 
 
 @_command("numbers", "Number tables (the polynomials at z = 0) for indices 0..N.",
           _Option("--kind", bounds=(1, 3), required=True),
           _Option("--n", "n_max", bounds=(0, None), required=True, help="largest index"),
           _ROUTE, _JSON_OR_CSV)
-def cmd_numbers(q_quarter, q_value, alpha, precision, kind, n_max, via, fmt):
+def cmd_numbers(ctx, kind, n_max, via, fmt):
     from . import detrep, series
     from .qcore import exact_str
 
-    ctx = _context(q_quarter, q_value, alpha, precision)
     rows = _table(n_max, via, lambda n: exact_str(detrep.bernoulli_number(ctx, kind, n)),
                   lambda n: exact_str(series.oracle_bernoulli(ctx, kind, n).coefficient(0)))
-    params = _echo_params(ctx, kind=kind, n=n_max, via=via)
-    _emit("numbers", params, fmt, rows, ["n", "det", "oracle", "match"])
+    _emit("numbers", ctx, {"kind": kind, "n": n_max, "via": via}, fmt, rows, ["n", "det", "oracle", "match"])
 
 
 @_command("zeros", "First q-Bessel zero for this context plus the named trig zeros.",
           _Option("--kind", bounds=(2, 3), required=True), _JSON_OR_CSV)
-def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
+def cmd_zeros(ctx, kind, fmt):
     from . import asympt as asympt_mod
 
-    ctx = _context(q_quarter, q_value, alpha, precision)
     entries = [("bessel_first_zero", asympt_mod.smallest_zero(ctx, kind))]
     for name, (bessel_kind, *_) in asympt_mod._NAMED.items():
         if bessel_kind == kind:
@@ -472,11 +466,12 @@ def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
     header = ["name", "location", "interval_lo", "interval_hi", "residual"]
     rows = [
         dict(zip(header, [name] + [
-            _fmt_float(x, precision) for x in (res.location, *res.certified_interval, res.residual)
+            _fmt_float(x, ctx.float_precision_bits)
+            for x in (res.location, *res.certified_interval, res.residual)
         ]))
         for name, res in entries
     ]
-    _emit("zeros", _echo_params(ctx, kind=kind), fmt, rows, header)
+    _emit("zeros", ctx, {"kind": kind}, fmt, rows, header)
 
 
 @_command("asympt", "Exact values against leading asymptotic terms for n = 1..N.",
@@ -484,13 +479,12 @@ def cmd_zeros(q_quarter, q_value, alpha, precision, kind, fmt):
           _Option("--z", default="1/4", help="evaluation point, rational"),
           _Option("--n-max", "n_max", bounds=(1, None), required=True),
           _Option("--format", "fmt", choices=("json", "csv"), default="csv"))
-def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
+def cmd_asympt(ctx, kind, z, n_max, fmt):
     from . import asympt as asympt_mod
     from .qcore import exact_str
 
-    ctx = _context(q_quarter, q_value, alpha, precision)
-    z = _parse_rational(z, "--z")
-    rows = asympt_mod.ratio_diagnostic(ctx, kind, z, range(1, n_max + 1))
+    point = _parse_rational(z, "--z")
+    rows = asympt_mod.ratio_diagnostic(ctx, kind, point, range(1, n_max + 1))
     decreasing = all(
         later.abs_ratio_minus_1 < earlier.abs_ratio_minus_1
         for earlier, later in zip(rows, rows[2:])
@@ -498,6 +492,7 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
     )
     _echo("decreasing_trend=%s\n" % str(decreasing).lower(), err=True)
     header = ["n", "exact_value", "float_value", "leading_term", "abs_ratio_minus_1"]
+    precision = ctx.float_precision_bits
     payload = [
         dict(zip(header, [
             row.n,
@@ -508,46 +503,45 @@ def cmd_asympt(q_quarter, q_value, alpha, precision, kind, z, n_max, fmt):
         ]))
         for row in rows
     ]
-    _emit("asympt", _echo_params(ctx, kind=kind, z=str(z), n_max=n_max), fmt, payload, header)
+    _emit("asympt", ctx, {"kind": kind, "z": exact_str(point), "n_max": n_max}, fmt, payload, header)
 
 
 @_command("expand", "Expansion coefficients L_0..L_N of a coefficient stream.",
           _Option("--input", "input_path", kind="FILE", required=True),
           _Option("--terms", "n_terms", bounds=(0, None), required=True, help="largest coefficient index N"),
           _Option("--at", "at_point", help="also reconstruct at this rational point"))
-def cmd_expand(q_quarter, q_value, alpha, precision, input_path, n_terms, at_point):
+def cmd_expand(ctx, input_path, n_terms, at_point):
     from . import expand as expand_mod
     from .qcore import exact_str
     from .qfun import numeric_frame, to_mpf, working_precision
 
-    ctx = _context(q_quarter, q_value, alpha, precision)
     try:
         with open(input_path, "rb") as handle:
             data = handle.read(MAX_STREAM_BYTES + 1)  # a device such as /dev/zero never ends
         if len(data) > MAX_STREAM_BYTES:
             raise ValueError("the file is longer than the cap of %d bytes" % MAX_STREAM_BYTES)
         stream = expand_mod.CoefficientStream.from_json(data.decode("utf-8"))
-        ls = expand_mod.l_coefficients(ctx, stream, n_terms)
-        payload = {"l_coefficients": [exact_str(v) for v in ls]}
-        if stream.tail_kind == "geometric":
-            bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
-            with numeric_frame(ctx) as bits, working_precision(bits):
-                payload["truncation_bound"] = _fmt_float(to_mpf(bound), bits)
-        if at_point is not None:
-            z = _parse_rational(at_point, "--at")
-            poly = expand_mod._read_off(ctx, ls)
-            payload["reconstruction"] = {
-                "at": str(z),
-                "value": _fmt_float(expand_mod._round_at(ctx, poly, z), precision),
-            }
-            if stream.tail_kind == "finite":
-                payload["reconstruction"]["exact_identity"] = poly == stream.as_polynomial()
     except (OSError, ValueError) as exc:  # an unreadable or too long file, bad JSON, or a schema violation
         raise UsageError("bad stream file: %s" % exc)
-    _emit("expand", _echo_params(ctx, terms=n_terms, input=str(input_path)), "json", payload, None)
+    ls = expand_mod.l_coefficients(ctx, stream, n_terms)
+    payload = {"l_coefficients": [exact_str(v) for v in ls]}
+    if stream.tail_kind == "geometric":
+        bound = max(expand_mod.l_truncation_bounds(ctx, stream, n_terms))
+        with numeric_frame(ctx) as bits, working_precision(bits):
+            payload["truncation_bound"] = _fmt_float(to_mpf(bound), bits)
+    if at_point is not None:
+        point = _parse_rational(at_point, "--at")
+        poly = expand_mod._read_off(ctx, ls)
+        payload["reconstruction"] = {
+            "at": exact_str(point),
+            "value": _fmt_float(expand_mod._round_at(ctx, poly, point), ctx.float_precision_bits),
+        }
+        if stream.tail_kind == "finite":
+            payload["reconstruction"]["exact_identity"] = poly == stream.as_polynomial()
+    _emit("expand", ctx, {"terms": n_terms, "input": input_path}, "json", payload, None)
 
 
-def main(args=None, prog_name=None, standalone_mode=True, terminal_width=None, **_context):
+def main(args=None, prog_name=None, standalone_mode=True, terminal_width=None, **_ignored):
     """Run one qbern command line; args default to ``sys.argv[1:]``.
 
     Standalone (the default), exit through SystemExit with 0, 2 or 3.
@@ -557,26 +551,21 @@ def main(args=None, prog_name=None, standalone_mode=True, terminal_width=None, *
     so that a test runner such as ``CliRunner`` drives ``main``; other
     keywords it passes for its context are accepted and ignored."""
     run = _Run(_program_name() if prog_name is None else prog_name, terminal_width)
+    args = sys.argv[1:] if args is None else list(args)
+    if not standalone_mode:
+        return run.dispatch(args)
     try:
-        code = run.dispatch(sys.argv[1:] if args is None else list(args))
+        code = run.dispatch(args)
     except UsageError as exc:
-        if not standalone_mode:
-            raise
         _echo(run.usage_error(exc.message) if exc.usage else "Error: %s\n" % exc.message, err=True)
         code = EXIT_USAGE
     except KeyboardInterrupt:
-        if not standalone_mode:
-            raise
         _echo("\nAborted!\n", err=True)
         code = 1
     except OSError as exc:  # a write to stdout failed; the commands' own file errors are usage errors
-        if not standalone_mode:
-            raise
         code = _write_failed(exc)
         # send what is still buffered nowhere, so the exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if not standalone_mode:
-        return code
     sys.exit(code or 0)
 
 

@@ -183,7 +183,9 @@ def _tail_geometry(ctx: QContext):
     """
     q = ctx.q
     if not 0 < q < 1:
-        raise QBernError("cannot truncate: (q;q)_inf and the moment envelope need 0 < q < 1, got q = %s" % q)
+        raise QBernError(
+            "cannot truncate: (q;q)_inf and the moment envelope need 0 < q < 1, got q = %s" % exact_str(q)
+        )
     d = 1 - ctx.q_pow(2 * ctx.alpha + 2)
     sigma = (1 - q) / (2 * d)
     m = 40
@@ -195,10 +197,20 @@ def _tail_geometry(ctx: QContext):
         if tail > (1 - q) / 2:
             raise QBernError(
                 "cannot truncate: the rational lower bound for (q;q)_inf fails at q = %s: "
-                "q is too close to 1 (1 - q^%d/(1 - q) = %.3g < 1/2 after %d factors)"
-                % (q, m + 1, 1 - tail / (1 - q), m)
+                "q is too close to 1 (1 - q^%d/(1 - q) = %s < 1/2 after %d factors)"
+                % (exact_str(q), m + 1, _three_digits(1 - tail / (1 - q)), m)
             )
     return d, sigma, q_pochhammer(q, q, m) * (1 - tail / (1 - q))
+
+
+def _three_digits(x: Fraction) -> str:
+    """x as ``"%.3g"`` prints it, or, past the float range, as decimal prints it to three digits."""
+    try:
+        return "%.3g" % x
+    except OverflowError:
+        from decimal import Decimal
+
+        return format(Decimal(x.numerator) / x.denominator, ".3g")
 
 
 def l_truncation_bounds(ctx: QContext, stream: CoefficientStream, N: int) -> list[Fraction]:
@@ -217,7 +229,7 @@ def l_truncation_bounds(ctx: QContext, stream: CoefficientStream, N: int) -> lis
         if rho * sigma >= 1:
             raise QBernError(
                 "cannot truncate: the tail ratio rho = %s times the moment envelope "
-                "sigma = %s is %s >= 1" % (rho, sigma, rho * sigma)
+                "sigma = %s is %s >= 1" % (exact_str(rho), exact_str(sigma), exact_str(rho * sigma))
             )
         g_M = abs(scaled_coefficient(ctx, stream, M))
     if N > M:

@@ -234,12 +234,12 @@ class QContext(Record):
         if m % 2 == 0:
             if self.sqrt_q is None:
                 raise ExactModeError(
-                    "exact q**(%s/2) needs a rational square root of q=%s" % (m // 2, self.q)
+                    "exact q**(%s/2) needs a rational square root of q=%s" % (m // 2, exact_str(self.q))
                 )
             return self.sqrt_q ** (m // 2)
         if self.fourth_root_q is None:
             raise ExactModeError(
-                "exact q**(%s/4) needs a rational fourth root of q=%s" % (m, self.q)
+                "exact q**(%s/4) needs a rational fourth root of q=%s" % (m, exact_str(self.q))
             )
         return self.fourth_root_q**m
 
@@ -247,7 +247,7 @@ class QContext(Record):
         """Exact q**exponent for an exponent that is a multiple of 1/4."""
         e = Fraction(exponent)
         if 4 % e.denominator != 0:
-            raise ExactModeError("exact q-power needs an exponent in quarter-integers, got %s" % e)
+            raise ExactModeError("exact q-power needs an exponent in quarter-integers, got %s" % exact_str(e))
         return self.q_pow_quarters(int(e * 4))
 
 
@@ -344,7 +344,7 @@ def require_rational(value, name: str):
 def require_exact_alpha(ctx: QContext):
     if not ctx.exact_alpha:
         require_rational(ctx.alpha, "alpha")
-        raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % ctx.alpha)
+        raise ExactModeError("exact mode requires 4*alpha to be an integer, got alpha=%s" % exact_str(ctx.alpha))
 
 
 def dot(xs, ys) -> Fraction:

@@ -81,6 +81,39 @@ def expand_transcript(tmp_path) -> str:
     return "".join(parts).replace(str(tmp_path), "<dir>")
 
 
+USAGE_RUNS = (
+    ([], {}),
+    (["--"], {}),
+    (["polly"], {}),
+    (["frobnicate"], {}),
+    (["--", "--help"], {}),
+    (["-k"], {}),
+    (["--help=x"], {}),
+    (["poly", "--kind"], {}),
+    (["poly", "--kind", "1", "--q", "1/4", "--n", "1", "extra"], {}),
+    (["poly", "--kind", "1", "--q", "1/4", "--n", "1", "extra", "more"], {}),
+    (["--help"], {"terminal_width": 50}),
+    (["expand", "--help"], {"terminal_width": 50, "prog_name": "python -m qbernoulli.cli"}),
+)
+
+
+def usage_transcript() -> str:
+    """stdout, stderr and exit code of the parser's own answers: an empty
+    command line, a missing or unknown command, help reached after "--", a
+    short option, a value given to --help, an option without its value, extra
+    arguments, and the help pages at a width of 50 (the command list's
+    summaries cut short, and a program name too long to share its usage line)."""
+    parts = []
+    for argv, options in USAGE_RUNS:
+        options = {"prog_name": "qbern", "terminal_width": 80, **options}
+        result = run(*argv, **options)
+        parts.append(
+            "$ %s %s\n[exit %d]\n%s[stderr]\n%s"
+            % (options["prog_name"], " ".join(argv), result.exit_code, result.stdout, result.stderr)
+        )
+    return "".join(parts)
+
+
 NUMERIC_CONTEXTS = (
     ("--q-quarter", "1/2", "--alpha", "1/2"),
     ("--q-quarter", "2/3", "--alpha", "-1/2"),
@@ -596,6 +629,45 @@ class TestLargeExactValues:
         assert [parse_exact(v) for v in payload["l_coefficients"]] == l_coefficients(ctx, stream, 2)
         assert payload["reconstruction"]["exact_identity"] is True
 
+    # option values past the int string limit: B's q = B**4 has a 4401-digit denominator
+    B = "1/1" + "0" * 1099 + "1"
+    Z = "1" + "0" * 4400
+
+    def test_a_fourth_root_whose_q_is_past_the_limit(self):
+        result = run("numbers", "--kind", "2", "--q-quarter", self.B, "--n", "1")
+        assert result.exit_code == 0, result.output
+        ctx = QContext.from_fourth_root(parse_exact(self.B), Fraction(1, 2))
+        assert 10**4400 < ctx.q.denominator < 10**4401  # the control: 4401 digits, past the limit
+        params = json.loads(result.stdout)["parameters"]
+        assert parse_exact(params["q"]) == ctx.q
+        assert params["q_quarter"] == self.B
+
+    def test_an_evaluation_point_past_the_limit(self):
+        result = run("asympt", "--kind", "2", "--q-quarter", "1/2", "--n-max", "1", "--z", "1/" + self.Z,
+                     "--format", "json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["parameters"]["z"] == "1/" + self.Z
+
+    def test_a_reconstruction_point_past_the_limit(self, tmp_path):
+        path = tmp_path / "stream.json"
+        path.write_text(CoefficientStream.finite([1, Fraction(-1, 2)]).to_json())
+        result = run("expand", "--q-quarter", "1/2", "--input", str(path), "--terms", "1", "--at", "1/" + self.Z)
+        assert result.exit_code == 0, result.output
+        reconstruction = json.loads(result.stdout)["payload"]["reconstruction"]
+        assert reconstruction["at"] == "1/" + self.Z and reconstruction["exact_identity"] is True
+
+    def test_an_alpha_past_the_limit_is_refused_by_the_library(self):
+        result = run("numbers", "--kind", "2", "--q-quarter", "1/2", "--alpha", self.Z + "/3", "--n", "1")
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "error: exact mode requires 4*alpha to be an integer, got alpha=%s/3\n" % self.Z
+
+    def test_a_geometric_ratio_past_the_limit_cannot_truncate(self, tmp_path):
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({"coefficients": ["1", "1/2"], "tail": {"geometric": self.Z}}))
+        result = run("expand", "--q-quarter", "1/2", "--input", str(path), "--terms", "1")
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr.startswith("error: cannot truncate: the tail ratio rho = %s times" % self.Z)
+
 
 class TestGoldenFiles:
     def test_poly_golden(self):
@@ -639,6 +711,10 @@ class TestGoldenFiles:
     def test_expand_golden(self, tmp_path):
         # the L_n sums, truncation bounds and reconstructions, and each failure's cause
         assert expand_transcript(tmp_path) == (DATA / "golden_expand.txt").read_text()
+
+    def test_usage_errors_golden(self):
+        # every byte of the parser's usage errors and narrow help pages
+        assert usage_transcript() == (DATA / "golden_usage.txt").read_text()
 
     def test_numeric_golden(self):
         # every byte but the residuals, which need only stay below 2^-(p-16)

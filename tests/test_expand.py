@@ -27,6 +27,7 @@ from qbernoulli import (
 from qbernoulli import expand
 from qbernoulli.detrep import _moments, _numbers
 from qbernoulli.expand import _tail_geometry, l_truncation_bounds
+from qbernoulli.qcore import exact_str
 from qbernoulli.qfun import to_mpf
 
 
@@ -276,6 +277,24 @@ class TestLCoefficients:
         with pytest.raises(QBernError, match=r"rho = 50 .* sigma = 2/7 is 100/7 >= 1"):
             l_truncation_bounds(ctx, stream, 0)
 
+    def test_cannot_truncate_prints_values_past_the_int_string_limit(self):
+        # str() of an int of more than 4300 digits raises ValueError by default
+        big = Fraction(10**4400)
+        stream = CoefficientStream([1, 1, 1], "geometric", big)
+        with pytest.raises(QBernError) as error:
+            l_truncation_bounds(ctx_q("1/2"), stream, 0)
+        assert str(error.value) == (
+            "cannot truncate: the tail ratio rho = %s times the moment envelope sigma = 2/7 is %s >= 1"
+            % (exact_str(big), exact_str(big * Fraction(2, 7)))
+        )
+        above_one = QContext.from_q(1 / (1 + 1 / big), Fraction(1, 2)).reciprocal_base()
+        with pytest.raises(QBernError) as error:
+            l_truncation_bounds(above_one, stream, 0)
+        assert str(error.value) == (
+            "cannot truncate: (q;q)_inf and the moment envelope need 0 < q < 1, got q = %s"
+            % exact_str(1 + 1 / big)
+        )
+
     def test_cannot_truncate_past_the_stream(self):
         ctx = ctx_q("1/2")
         stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
@@ -290,6 +309,18 @@ class TestLCoefficients:
             QBernError, match=r"cannot truncate: .*\(q;q\)_inf .* q = 999/1000: q is too close to 1"
         ):
             l_truncation_bounds(ctx, stream, 0)
+
+    def test_cannot_truncate_prints_a_gap_past_the_float_range(self):
+        # "%.3g" of a gap below -1.8e308 raised OverflowError; decimal prints it
+        stream = CoefficientStream([1, 1, 1], "geometric", Fraction(1, 4))
+        big = 10**320
+        ctx = QContext.from_q(Fraction(big - 1, big), Fraction(1, 2))
+        with pytest.raises(QBernError) as error:
+            l_truncation_bounds(ctx, stream, 0)
+        assert str(error.value).endswith(
+            "q = %s: q is too close to 1 (1 - q^257/(1 - q) = -1.00e+320 < 1/2 after 256 factors)"
+            % exact_str(ctx.q)
+        )
 
     def test_cannot_truncate_above_one(self):
         # (q;q)_inf and the moment envelope exist only for 0 < q < 1; at q = 4 the

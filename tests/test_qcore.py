@@ -171,6 +171,25 @@ class TestQPower:
         assert ctx3.fourth_root_q == Fraction(1, 2)
         assert ctx3.q_pow_quarters(3) == Fraction(1, 8)
 
+    def test_errors_print_values_past_the_int_string_limit(self):
+        # str() of an int of more than 4300 digits raises ValueError by default
+        big = Fraction(10**4400 + 1, 3 * 10**4400)
+        tiny = Fraction(1, 10**4400)
+        cases = [
+            (lambda: bernoulli_number(QContext.from_q(Fraction(1, 2), big), 2, 1),
+             "exact mode requires 4*alpha to be an integer, got alpha=%s" % exact_str(big)),
+            (lambda: bernoulli_number(QContext.from_q(big, Fraction(1, 2)), 3, 2),
+             "exact q**(1/2) needs a rational square root of q=%s" % exact_str(big)),
+            (lambda: QContext.from_q(big, Fraction(1, 2)).q_pow_quarters(1),
+             "exact q**(1/4) needs a rational fourth root of q=%s" % exact_str(big)),
+            (lambda: QContext.from_q(Fraction(1, 4), Fraction(1, 2)).q_pow(tiny),
+             "exact q-power needs an exponent in quarter-integers, got %s" % exact_str(tiny)),
+        ]
+        for call, message in cases:
+            with pytest.raises(ExactModeError) as error:
+                call()
+            assert str(error.value) == message
+
 
 class TestQContext:
     def test_validation(self):
